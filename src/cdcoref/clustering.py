@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import ClassVar, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .corpus import Mention, Partition, SchemaError
 from .linkage import Merge, average_link
 
@@ -24,13 +26,14 @@ class ScoreTable:
     rejected. The table is not mutated after construction.
     """
 
-    __slots__ = ("_entries", "default")
+    __slots__ = ("_entries", "default", "_coded")
 
     def __init__(self, entries: Mapping | None = None, default: float = NEVER_MERGE):
         if math.isnan(default):
             raise ValueError("default score must not be NaN")
         self.default = float(default)
         self._entries: dict[tuple, float] = {}
+        self._coded = None
         for (a, b), score in (entries or {}).items():
             self._entries[_pair_key(a, b)] = _checked_score(score, a, b)
 
@@ -55,6 +58,34 @@ class ScoreTable:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def matrix(self, ids: Sequence) -> np.ndarray:
+        """Scores of all pairs of `ids` as an (n, n) float64 array, with the
+        default for absent pairs and on the diagonal. O(len(self)) array
+        work per call, after a one-time coding of the entries."""
+        codes, left, right, values = self._arrays()
+        rank = np.full(len(codes), -1)  # code -> position in ids, -1 if absent
+        for k, x in enumerate(ids):
+            if x in codes:
+                rank[codes[x]] = k
+        i, j = rank[left], rank[right]
+        keep = (i >= 0) & (j >= 0)
+        i, j, v = i[keep], j[keep], values[keep]
+        out = np.full((len(ids), len(ids)), self.default)
+        out[i, j] = v
+        out[j, i] = v
+        return out
+
+    def _arrays(self) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+        """The entries as (id -> code, first-id codes, second-id codes,
+        scores), built on first use."""
+        if self._coded is None:
+            codes: dict = {}
+            left = [codes.setdefault(a, len(codes)) for a, _ in self._entries]
+            right = [codes.setdefault(b, len(codes)) for _, b in self._entries]
+            values = np.fromiter(self._entries.values(), np.float64, len(self._entries))
+            self._coded = (codes, np.array(left, np.int64), np.array(right, np.int64), values)
+        return self._coded
 
 
 def _pair_key(a, b) -> tuple:
@@ -148,11 +179,12 @@ def combine_pair_score(
     """Combine two span scores and one pairwise score into a merge score.
 
     Predicted-mention mode sums all three; gold-mention mode keeps only the
-    pairwise term.
+    pairwise term. Arguments may be numpy arrays, combined elementwise.
     """
     for v in (mention_score_i, mention_score_j, pair_score):
-        if not math.isfinite(v):
-            raise ValueError(f"scores must be finite, got {v!r}")
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise ValueError(f"scores must be finite, got {float(np.asarray(v)[bad][0])!r}")
     if gold_mention_mode:
         return pair_score
     return mention_score_i + mention_score_j + pair_score
@@ -163,14 +195,16 @@ def _mention_ids(mentions: Sequence) -> list[str]:
 
 
 def agglomerative_cluster_trace(
-    mentions: Sequence, scores: ScoreTable, merge_threshold: float
+    mentions: Sequence, scores: ScoreTable | np.ndarray, merge_threshold: float
 ) -> tuple[Partition, list[Merge]]:
     """Average-link clustering of mentions; also returns the merge log.
 
-    Accepts Mention objects or bare mention ids. Every accepted merge in the
-    log had average score >= merge_threshold at merge time.
+    Accepts Mention objects or bare mention ids, and a ScoreTable or an
+    (n, n) score array over the sorted mention ids. Every accepted merge in
+    the log had average score >= merge_threshold at merge time.
     """
-    final, merges = average_link(_mention_ids(mentions), scores.get, merge_threshold)
+    pair_score = scores.get if isinstance(scores, ScoreTable) else scores
+    final, merges = average_link(_mention_ids(mentions), pair_score, merge_threshold)
     return Partition(final), merges
 
 
@@ -234,9 +268,15 @@ def read_score_file(path) -> ScoreTable:
                     raise SchemaError(f"{path}:{lineno}: default must be a number")
                 continue
             try:
-                triples.append((obj["m1"], obj["m2"], obj["score"]))
+                m1, m2, score = obj["m1"], obj["m2"], obj["score"]
             except KeyError as e:
                 raise SchemaError(f"{path}:{lineno}: missing field {e.args[0]!r}") from None
+            if not (isinstance(m1, str) and isinstance(m2, str)):
+                raise SchemaError(f"{path}:{lineno}: m1 and m2 must be mention id strings")
+            # exact types reject bool; cheaper than isinstance on large files
+            if type(score) is not float and type(score) is not int:
+                raise SchemaError(f"{path}:{lineno}: score must be a number")
+            triples.append((m1, m2, score))
     try:
         return ScoreTable.from_pairs(triples, default=float(default))
     except ValueError as e:

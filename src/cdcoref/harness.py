@@ -18,6 +18,8 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .clustering import (
     ClusteringConfig,
     ScoreTable,
@@ -116,30 +118,34 @@ def _combined_scores(
     mention_scores: Mapping[str, float] | None,
     config: ClusteringConfig,
     apply_sigmoid: bool,
-) -> ScoreTable:
-    """Materialize final merge scores for one unit's mention pairs."""
+) -> np.ndarray:
+    """Final merge scores for one unit, as an (n, n) array over the sorted
+    mention ids (filled above the diagonal). Unscored pairs stay -inf, so
+    they are never merged, with or without the sigmoid."""
+    unit = sorted(mentions, key=lambda m: m.mention_id)
+    raw = pair_scores.matrix([m.mention_id for m in unit])
+    i, j = np.nonzero(np.triu(raw != -np.inf, 1))
+    if config.gold_mention_mode:
+        scored = combine_pair_score(0.0, 0.0, raw[i, j], gold_mention_mode=True)
+    else:
 
-    def span_score(m: Mention) -> float:
-        if mention_scores is not None and m.mention_id in mention_scores:
-            return mention_scores[m.mention_id]
-        if m.mention_score is None:
-            raise SchemaError(f"mention {m.mention_id!r} has no mention score")
-        return m.mention_score
+        def span_score(m: Mention) -> float:
+            if mention_scores is not None and m.mention_id in mention_scores:
+                return mention_scores[m.mention_id]
+            return math.nan if m.mention_score is None else m.mention_score
 
-    entries = {}
-    for i, a in enumerate(mentions):
-        for b in mentions[i + 1 :]:
-            raw = pair_scores.get(a.mention_id, b.mention_id)
-            if raw == float("-inf"):
-                continue  # unscored pair: never merged
-            if config.gold_mention_mode:
-                s = combine_pair_score(0.0, 0.0, raw, gold_mention_mode=True)
-            else:
-                s = combine_pair_score(span_score(a), span_score(b), raw)
-            if apply_sigmoid:
-                s = _sigmoid(s)
-            entries[a.mention_id, b.mention_id] = s
-    return ScoreTable(entries)
+        spans = np.array([span_score(m) for m in unit])
+        missing = np.isnan(spans)
+        unscored = np.union1d(i[missing[i]], j[missing[j]])
+        if unscored.size:
+            raise SchemaError(f"mention {unit[unscored[0]].mention_id!r} has no mention score")
+        scored = combine_pair_score(spans[i], spans[j], raw[i, j])
+    if apply_sigmoid:
+        # math.exp, not np.exp: the two differ in the last bit on some inputs
+        scored = [_sigmoid(s) for s in scored.tolist()]
+    combined = np.full(raw.shape, -np.inf)
+    combined[i, j] = scored
+    return combined
 
 
 def partition_on_spans(

@@ -23,6 +23,11 @@ from .linkage import average_link
 class DocVector:
     doc_id: str
     weights: Mapping[tuple[str, ...], float] = field(default_factory=dict)
+    # computed once at construction; `cosine` reads it for every pair
+    _norm: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_norm", self.norm())
 
     def norm(self) -> float:
         return math.sqrt(sum(w * w for w in self.weights.values()))
@@ -68,7 +73,7 @@ def cosine(u: DocVector, v: DocVector) -> float:
     dot = sum(w * large.get(term, 0.0) for term, w in small.items())
     if dot == 0.0:
         return 0.0
-    return dot / (u.norm() * v.norm())
+    return dot / (u._norm * v._norm)
 
 
 def cluster_documents(

@@ -2,16 +2,21 @@
 
 The oracles here deliberately take the slow, obvious route (exhaustive
 permutation search, full rescans from raw pair scores) so they share no code
-path with the package implementations they check.
+path with the package implementations they check. `heap_average_link` is
+the package's former per-pair priority-queue linkage, kept verbatim as the
+exact-trace oracle for the array engine in `cdcoref.linkage`.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
+from typing import Callable, Sequence
 
 import hypothesis.strategies as st
 
-from cdcoref import Partition, ScoreTable
+from cdcoref import Merge, Partition, ScoreTable
 
 
 def random_partition(rng, members) -> Partition:
@@ -91,6 +96,75 @@ def brute_force_average_link(ids, score_fn, threshold):
         clusters.append(a | b)
         merges.append((a, b, avg))
     return sorted(clusters, key=lambda c: sorted(c)), merges
+
+
+def heap_average_link(
+    items: Sequence,
+    pair_score: Callable,
+    threshold: float,
+) -> tuple[list[frozenset], list[Merge]]:
+    """Cluster `items` bottom-up by average pairwise score.
+
+    Starting from singletons, repeatedly merge the cluster pair with the
+    highest mean cross-pair score, as long as that mean is >= threshold
+    (inclusive). Equal-best pairs are resolved toward the pair whose sorted
+    (smallest-member, smallest-member) ids compare lexicographically least,
+    which makes the whole trace deterministic. In each logged Merge, `left`
+    is the side holding the smaller smallest member.
+
+    `pair_score` is called exactly once per item pair; cluster-pair sums are
+    then maintained incrementally. Scores of -inf are allowed and act as
+    "never merge". Returns the final clusters (canonically sorted) and the
+    ordered merge log.
+    """
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite")
+    ids = list(items)
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate items")
+    ids.sort()
+
+    clusters: dict[int, frozenset] = {i: frozenset([x]) for i, x in enumerate(ids)}
+    mins: dict[int, object] = dict(enumerate(ids))
+    sums: dict[tuple[int, int], float] = {}
+    heap: list[tuple] = []
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            s = pair_score(ids[i], ids[j])
+            if math.isnan(s) or s == math.inf:
+                raise ValueError(f"bad score {s!r} for ({ids[i]!r}, {ids[j]!r})")
+            sums[i, j] = s
+            heap.append((-s, (ids[i], ids[j]), i, j))
+    heapq.heapify(heap)
+    next_id = len(ids)
+    merges: list[Merge] = []
+
+    while heap:
+        neg_avg, _, i, j = heapq.heappop(heap)
+        if i not in clusters or j not in clusters:
+            continue
+        if -neg_avg < threshold:
+            break
+        left, right = clusters.pop(i), clusters.pop(j)
+        if mins[j] < mins[i]:
+            left, right = right, left
+        merges.append(Merge(left, right, -neg_avg))
+        merged = left | right
+        merged_id = next_id
+        merged_min = min(mins[i], mins[j])
+        next_id += 1
+        sums.pop((i, j))
+        for k in clusters:
+            s = sums.pop((min(i, k), max(i, k))) + sums.pop((min(j, k), max(j, k)))
+            sums[k, merged_id] = s
+            avg = s / (len(merged) * len(clusters[k]))
+            tie = tuple(sorted((merged_min, mins[k])))
+            heapq.heappush(heap, (-avg, tie, k, merged_id))
+        clusters[merged_id] = merged
+        mins[merged_id] = merged_min
+
+    final = sorted(clusters.values(), key=lambda c: sorted(c))
+    return final, merges
 
 
 @st.composite

@@ -177,6 +177,33 @@ class TestClusterCommand:
         assert code == 2
         assert "duplicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('{"m1": 1, "m2": "e2", "score": 0.5}', "m1 and m2"),
+            ('{"m1": "e1", "m2": "e2", "score": "0.5"}', "score must be a number"),
+            ('{"m1": "e1", "m2": "e2", "score": true}', "score must be a number"),
+        ],
+    )
+    def test_bad_score_rows_are_input_errors(
+        self, tmp_path, toy_corpus_file, capsys, row, message
+    ):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(row + "\n")
+        code = main(
+            [
+                "cluster",
+                "--corpus", toy_corpus_file,
+                "--scores", str(path),
+                "--tau", "0.5",
+                "--gold-mentions",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"scores.jsonl:1: {message}" in err
+        assert "Traceback" not in err
+
 
 class TestTopicsCommand:
     def test_stdout(self, toy_corpus_file, capsys):

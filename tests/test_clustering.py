@@ -346,3 +346,31 @@ def test_math_isfinite_guard_allows_negative_threshold():
     clusters, _ = average_link(["a", "b"], lambda a, b: -5.0, -10.0)
     assert clusters == [frozenset("ab")]
     assert not math.isinf(-10.0)
+
+
+class TestScoreFileRowChecks:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            '{"m1": 1, "m2": "a", "score": 0.5}',
+            '{"m1": "a", "m2": ["x"], "score": 0.5}',
+            '{"m1": null, "m2": "a", "score": 0.5}',
+        ],
+    )
+    def test_non_string_ids(self, tmp_path, row):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"m1": "a", "m2": "b", "score": 1}\n' + row + "\n")
+        with pytest.raises(SchemaError, match=r"scores.jsonl:2: m1 and m2"):
+            read_score_file(path)
+
+    @pytest.mark.parametrize("score", ['"0.5"', "true", "false", "null", "[1]"])
+    def test_non_numeric_score(self, tmp_path, score):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"default": 0.1}\n{"m1": "a", "m2": "b", "score": %s}\n' % score)
+        with pytest.raises(SchemaError, match=r"scores.jsonl:2: score must be a number"):
+            read_score_file(path)
+
+    def test_integer_score_accepted(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"m1": "b", "m2": "a", "score": 2}\n')
+        assert read_score_file(path).get("a", "b") == 2.0

@@ -533,3 +533,58 @@ class TestPipelineConfigFile:
         )
         with pytest.raises(SchemaError, match="lambda"):
             run_pipeline_from_config(config_path)
+
+
+class TestCombinedScoreArray:
+    """The per-unit score array equals the per-pair formula bit for bit."""
+
+    @pytest.mark.parametrize("default", [-0.35, -math.inf])
+    @pytest.mark.parametrize("gold_mode", [False, True])
+    def test_matches_per_pair_combination_under_sigmoid(self, default, gold_mode):
+        import random
+
+        from cdcoref import combine_pair_score
+        from cdcoref.harness import _combined_scores, _sigmoid
+
+        rng = random.Random(41)
+        unit = [
+            candidate(f"c{k:02d}", "a1", k, k, rng.uniform(-3.0, 3.0)) for k in range(30)
+        ]
+        rng.shuffle(unit)
+        overrides = {"c03": 0.7, "c08": -1.3}
+        table = ScoreTable(
+            {
+                (a.mention_id, b.mention_id): rng.randrange(-20, 21) * 0.05
+                for i, a in enumerate(unit)
+                for b in unit[i + 1 :]
+                if rng.random() < 0.6
+            },
+            default=default,
+        )
+        config = ClusteringConfig(0.5, 1.0, gold_mention_mode=gold_mode)
+        got = _combined_scores(unit, table, overrides, config, apply_sigmoid=True)
+
+        def span(m):
+            return overrides.get(m.mention_id, m.mention_score)
+
+        ordered = sorted(unit, key=lambda m: m.mention_id)
+        for i, a in enumerate(ordered):
+            for j, b in enumerate(ordered[i + 1 :], start=i + 1):
+                raw = table.get(a.mention_id, b.mention_id)
+                if raw == -math.inf:
+                    want = -math.inf  # unscored: never merged, sigmoid or not
+                else:
+                    want = _sigmoid(combine_pair_score(span(a), span(b), raw, gold_mode))
+                assert got[i, j] == want, (a.mention_id, b.mention_id)
+
+    def test_unscored_pairs_never_merge_under_sigmoid(self, toy_corpus):
+        # sigmoid(-inf) would be 0, which clears any tau <= 0
+        cands = [candidate("c1", "a1", 1, 1, 2.0), candidate("c2", "a1", 5, 5, 1.5)]
+        config = event_config(
+            "corpus",
+            mention_source="predicted",
+            apply_sigmoid=True,
+            clustering=ClusteringConfig(-1.0, 1.0, max_span_width=3),
+        )
+        response, _ = build_response(toy_corpus, config, ScoreTable(), candidates=cands)
+        assert response == Partition([["c1"], ["c2"]])
