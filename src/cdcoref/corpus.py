@@ -17,8 +17,8 @@ as singleton clusters, so gold singletons may be written either way.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
 
 MENTION_TYPES = ("event", "entity")
 SPLITS = ("train", "validation", "test")
@@ -225,9 +225,13 @@ def restrict_to_unit(
 # --- JSON (de)serialization ---------------------------------------------------
 
 
-def _require(obj: Mapping, key: str, kind: type, where: str):
+def _expect_object(obj, where: str) -> None:
     if not isinstance(obj, Mapping):
         raise SchemaError(f"{where}: expected an object")
+
+
+def _require(obj: Mapping, key: str, kind: type, where: str):
+    """Field `key` of `obj`, which the caller has checked is a Mapping."""
     if key not in obj:
         raise SchemaError(f"{where}: missing field {key!r}")
     value = obj[key]
@@ -243,10 +247,11 @@ def _require(obj: Mapping, key: str, kind: type, where: str):
 
 
 def mention_from_json(obj: Mapping, where: str = "mention") -> Mention:
-    head = obj.get("head_lemma") if isinstance(obj, Mapping) else None
+    _expect_object(obj, where)
+    head = obj.get("head_lemma")
     if head is not None and not isinstance(head, str):
         raise SchemaError(f"{where}.head_lemma: expected a string")
-    score = obj.get("score") if isinstance(obj, Mapping) else None
+    score = obj.get("score")
     if score is not None:
         if isinstance(score, bool) or not isinstance(score, (int, float)):
             raise SchemaError(f"{where}.score: expected a number")
@@ -278,11 +283,13 @@ def mention_to_json(m: Mention) -> dict:
 
 
 def _document_from_json(obj: Mapping, where: str) -> Document:
+    _expect_object(obj, where)
     doc_id = _require(obj, "doc_id", str, where)
     tokens = _require(obj, "tokens", list, where)
     parsed = []
     for t, tok in enumerate(tokens):
         twhere = f"{where}.tokens[{t}]"
+        _expect_object(tok, twhere)
         sentence = _require(tok, "sentence", int, twhere)
         text = _require(tok, "text", str, twhere)
         if sentence < 0:

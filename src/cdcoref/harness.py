@@ -281,7 +281,11 @@ def load_partition_file(path) -> tuple[Partition, list[Mention] | None]:
             mention_from_json(obj, f"{path}: mentions[{i}]")
             for i, obj in enumerate(data["mentions"])
         ]
-        known = {m.mention_id for m in mentions}
+        known = set()
+        for m in mentions:
+            if m.mention_id in known:
+                raise InvariantError(f"{path}: duplicate mention_id {m.mention_id!r}")
+            known.add(m.mention_id)
         unknown = {m for c in clusters for m in c} - known
         if unknown:
             raise SchemaError(f"{path}: clusters reference unknown mentions {sorted(unknown)[:5]}")

@@ -4,7 +4,9 @@ The oracles here deliberately take the slow, obvious route (exhaustive
 permutation search, full rescans from raw pair scores) so they share no code
 path with the package implementations they check. `heap_average_link` is
 the package's former per-pair priority-queue linkage, kept verbatim as the
-exact-trace oracle for the array engine in `cdcoref.linkage`.
+exact-trace oracle for the array engine in `cdcoref.linkage`. Likewise
+`reference_metrics` runs the former per-cluster metric loops, kept verbatim
+as the bit-exact oracle for the overlap table in `cdcoref.metrics`.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from typing import Callable, Sequence
 
 import hypothesis.strategies as st
+import numpy as np
 
-from cdcoref import Merge, Partition, ScoreTable
+from cdcoref import PRF, Merge, Partition, ScoreTable, optimal_alignment
 
 
 def random_partition(rng, members) -> Partition:
@@ -165,6 +169,82 @@ def heap_average_link(
 
     final = sorted(clusters.values(), key=lambda c: sorted(c))
     return final, merges
+
+
+def _muc_side(a: Partition, b: Partition) -> tuple[int, int]:
+    # numerator: links of each a-cluster still recoverable after b partitions
+    # it; twinless members each form their own block
+    num = den = 0
+    for cluster in a.clusters:
+        blocks = set()
+        twinless = 0
+        for m in cluster:
+            i = b.mention_index.get(m)
+            if i is None:
+                twinless += 1
+            else:
+                blocks.add(i)
+        num += len(cluster) - (len(blocks) + twinless)
+        den += len(cluster) - 1
+    return num, den
+
+
+def _b_cubed_side(a: Partition, b: Partition) -> tuple[float, int]:
+    num = 0.0
+    total = 0
+    for cluster in a.clusters:
+        total += len(cluster)
+        counts = Counter(
+            b.mention_index[m] for m in cluster if m in b.mention_index
+        )
+        num += sum(c * c for c in counts.values()) / len(cluster)
+    return num, total
+
+
+def _ceaf_e(key: Partition, response: Partition) -> PRF:
+    if not key.clusters or not response.clusters:
+        return PRF.from_counts(0, 0, 0, 0)
+    sim = np.zeros((len(key.clusters), len(response.clusters)))
+    for i, k in enumerate(key.clusters):
+        for j, r in enumerate(response.clusters):
+            inter = len(k & r)
+            if inter:
+                sim[i, j] = 2.0 * inter / (len(k) + len(r))
+    total = float(sum(sim[i, j] for i, j in optimal_alignment(sim)))
+    return PRF.from_counts(total, len(key.clusters), total, len(response.clusters))
+
+
+def _lea_side(a: Partition, b: Partition) -> tuple[float, int]:
+    num = 0.0
+    den = 0
+    for cluster in a.clusters:
+        size = len(cluster)
+        den += size
+        if size == 1:
+            # self-link credit only if the mention is a singleton on both sides
+            (m,) = cluster
+            other = b.cluster_of(m)
+            resolution = 1.0 if other is not None and len(other) == 1 else 0.0
+        else:
+            counts = Counter(
+                b.mention_index[m] for m in cluster if m in b.mention_index
+            )
+            hit = sum(c * (c - 1) // 2 for c in counts.values())
+            resolution = hit / (size * (size - 1) // 2)
+        num += size * resolution
+    return num, den
+
+
+def reference_metrics(key: Partition, response: Partition) -> tuple[PRF, PRF, PRF, PRF]:
+    """MUC, B3, CEAFe and LEA the way the package computed them before the
+    overlap table: one pass per cluster and side, and a K x R intersection
+    loop for CEAFe."""
+    return (
+        PRF.from_counts(*_muc_side(key, response), *_muc_side(response, key)),
+        PRF.from_counts(*_b_cubed_side(key, response), *_b_cubed_side(response, key)),
+        _ceaf_e(key, response),
+        PRF.from_counts(*_lea_side(key, response), *_lea_side(response, key)),
+    )
 
 
 @st.composite

@@ -86,6 +86,26 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--key", partition_files[0], "--response", path]) == 2
         assert "ambiguous" in capsys.readouterr().err
 
+    def test_duplicate_mention_ids_are_invariant_error(self, tmp_path, capsys):
+        # were the second "a" to replace the first, the key would read
+        # {a@5, b} and the response's correct a@0/b link would score MUC 0
+        def mention(mid, pos):
+            return {"mention_id": mid, "doc_id": "d", "start_token": pos,
+                    "end_token": pos, "type": "event"}
+
+        key = write_json(tmp_path / "key.json", {
+            "mentions": [mention("a", 0), mention("a", 5), mention("b", 1)],
+            "clusters": [["a", "b"]],
+        })
+        resp = write_json(tmp_path / "resp.json", {
+            "mentions": [mention("x", 0), mention("y", 1)],
+            "clusters": [["x", "y"]],
+        })
+        assert main(["evaluate", "--key", key, "--response", resp]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}: duplicate mention_id 'a'" in err
+        assert "Traceback" not in err
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
