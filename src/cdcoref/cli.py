@@ -8,7 +8,6 @@ Reports go to stdout as aligned text; --json switches to machine format.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .baselines import head_lemma_baseline, singleton_baseline
@@ -17,12 +16,14 @@ from .clustering import (
     generate_training_pairs,
     read_mention_scores,
     read_score_file,
+    write_training_pairs,
 )
 from .corpus import InvariantError, CorpusError, load_corpus
 from .harness import (
     EvalConfig,
     build_response,
     load_candidates,
+    response_members,
     run_evaluation,
     run_pipeline_from_config,
     save_partition_file,
@@ -65,13 +66,9 @@ def _cmd_cluster(args) -> int:
     response, mentions = build_response(
         corpus, config, pair_scores, mention_scores, candidates
     )
-    by_id = {m.mention_id: m for m in mentions}
-    members = [by_id[mid] for c in response.clusters for mid in sorted(c)]
-    if args.output:
-        save_partition_file(args.output, response, members)
-    else:
-        json.dump({"clusters": [sorted(c) for c in response.clusters]}, sys.stdout, indent=2)
-        print()
+    # a response file carries the mention table; stdout gets the clusters only
+    members = response_members(response, mentions) if args.output else None
+    save_partition_file(args.output, response, members)
     return 0
 
 
@@ -79,12 +76,7 @@ def _cmd_topics(args) -> int:
     corpus = load_corpus(args.corpus)
     docs = [corpus.documents[d] for d in sorted(corpus.documents)]
     clusters = cluster_documents(tfidf_vectors(docs), args.threshold)
-    if args.output:
-        write_topics(args.output, clusters, args.threshold)
-    else:
-        data = {"clusters": sorted(sorted(c) for c in clusters), "threshold": args.threshold}
-        json.dump(data, sys.stdout, indent=2)
-        print()
+    write_topics(args.output, clusters, args.threshold)
     return 0
 
 
@@ -95,11 +87,7 @@ def _cmd_baseline(args) -> int:
         partition = singleton_baseline(mentions)
     else:
         partition = head_lemma_baseline(mentions)
-    if args.output:
-        save_partition_file(args.output, partition, mentions)
-    else:
-        json.dump({"clusters": [sorted(c) for c in partition.clusters]}, sys.stdout, indent=2)
-        print()
+    save_partition_file(args.output, partition, mentions if args.output else None)
     return 0
 
 
@@ -108,13 +96,7 @@ def _cmd_export_pairs(args) -> int:
     mentions = corpus.mentions_of_type(args.type)
     gold = corpus.gold_partition.restricted_to(m.mention_id for m in mentions)
     pairs = generate_training_pairs(gold, args.ratio, args.seed)
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        for m1, m2, label in pairs:
-            out.write(json.dumps({"m1": m1, "m2": m2, "label": label}) + "\n")
-    finally:
-        if args.output:
-            out.close()
+    write_training_pairs(args.output, pairs)
     return 0
 
 

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Mention, Partition, SchemaError
+from .corpus import Mention, Partition, SchemaError, read_jsonl, write_jsonl
 from .linkage import Merge, average_link
 
 NEVER_MERGE = float("-inf")
@@ -252,66 +251,53 @@ def read_score_file(path) -> ScoreTable:
     preceded by a {"default": real} header."""
     default = NEVER_MERGE
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON: {e.msg}") from e
-            if not isinstance(obj, dict):
-                raise SchemaError(f"{path}:{lineno}: expected an object")
-            if "default" in obj and "m1" not in obj:
-                default = obj["default"]
-                if isinstance(default, bool) or not isinstance(default, (int, float)):
-                    raise SchemaError(f"{path}:{lineno}: default must be a number")
-                continue
-            try:
-                m1, m2, score = obj["m1"], obj["m2"], obj["score"]
-            except KeyError as e:
-                raise SchemaError(f"{path}:{lineno}: missing field {e.args[0]!r}") from None
-            if not (isinstance(m1, str) and isinstance(m2, str)):
-                raise SchemaError(f"{path}:{lineno}: m1 and m2 must be mention id strings")
-            # exact types reject bool; cheaper than isinstance on large files
-            if type(score) is not float and type(score) is not int:
-                raise SchemaError(f"{path}:{lineno}: score must be a number")
-            triples.append((m1, m2, score))
+    for lineno, obj in read_jsonl(path):
+        if "default" in obj and "m1" not in obj:
+            default = obj["default"]
+            if isinstance(default, bool) or not isinstance(default, (int, float)):
+                raise SchemaError(f"{path}:{lineno}: default must be a number")
+            continue
+        try:
+            m1, m2, score = obj["m1"], obj["m2"], obj["score"]
+        except KeyError as e:
+            raise SchemaError(f"{path}:{lineno}: missing field {e.args[0]!r}") from None
+        if not (isinstance(m1, str) and isinstance(m2, str)):
+            raise SchemaError(f"{path}:{lineno}: m1 and m2 must be mention id strings")
+        # exact types reject bool; cheaper than isinstance on large files
+        if type(score) is not float and type(score) is not int:
+            raise SchemaError(f"{path}:{lineno}: score must be a number")
+        triples.append((m1, m2, score))
     try:
         return ScoreTable.from_pairs(triples, default=float(default))
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise SchemaError(f"{path}: {e}") from e
 
 
 def write_score_file(path, table: ScoreTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if table.default != NEVER_MERGE:
-            fh.write(json.dumps({"default": table.default}) + "\n")
-        for (a, b), score in sorted(table.items()):
-            fh.write(json.dumps({"m1": a, "m2": b, "score": score}) + "\n")
+    header = [] if table.default == NEVER_MERGE else [{"default": table.default}]
+    rows = ({"m1": a, "m2": b, "score": score} for (a, b), score in sorted(table.items()))
+    write_jsonl(path, chain(header, rows))
 
 
 def read_mention_scores(path) -> dict[str, float]:
     """Read a JSONL file of rows {"mention_id", "score"}."""
     scores: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON: {e.msg}") from e
-            if not isinstance(obj, dict) or "mention_id" not in obj or "score" not in obj:
-                raise SchemaError(f"{path}:{lineno}: expected mention_id and score")
-            score = obj["score"]
-            if isinstance(score, bool) or not isinstance(score, (int, float)):
-                raise SchemaError(f"{path}:{lineno}: score must be a number")
-            scores[obj["mention_id"]] = float(score)
+    for lineno, obj in read_jsonl(path):
+        if "mention_id" not in obj or "score" not in obj:
+            raise SchemaError(f"{path}:{lineno}: expected mention_id and score")
+        mention_id, score = obj["mention_id"], obj["score"]
+        if not isinstance(mention_id, str):
+            raise SchemaError(f"{path}:{lineno}: mention_id must be a string")
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise SchemaError(f"{path}:{lineno}: score must be a number")
+        try:
+            scores[mention_id] = float(score)
+        except OverflowError:
+            raise SchemaError(f"{path}:{lineno}: score out of range") from None
     return scores
 
 
 def write_training_pairs(path, pairs: Iterable[tuple[str, str, int]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for m1, m2, label in pairs:
-            fh.write(json.dumps({"m1": m1, "m2": m2, "label": label}) + "\n")
+    """Write JSONL rows {"m1", "m2", "label"} to `path`, or to stdout when
+    `path` is None."""
+    write_jsonl(path, ({"m1": m1, "m2": m2, "label": label} for m1, m2, label in pairs))

@@ -23,7 +23,7 @@ import re
 from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Document, InvariantError, Mention, Partition, SchemaError
+from .corpus import Document, InvariantError, Mention, Partition, SchemaError, write_text
 
 _MARK = re.compile(r"\((\d+)\)|\((\d+)|(\d+)\)")
 
@@ -103,8 +103,7 @@ def write_partition_conll(
                 coref = "".join(marks) or "-"
                 lines.append(f"{doc_id} 0 {t} {text} {coref}")
         lines.append("#end document")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, ("\n".join(lines), "\n"))
 
 
 def export_conll(

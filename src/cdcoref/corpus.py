@@ -17,7 +17,8 @@ as singleton clusters, so gold singletons may be written either way.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Mapping
+import sys
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 MENTION_TYPES = ("event", "entity")
@@ -222,7 +223,92 @@ def restrict_to_unit(
     return kept, part
 
 
-# --- JSON (de)serialization ---------------------------------------------------
+# --- JSON files ---------------------------------------------------------------
+# Every JSON/JSONL read goes through read_json or read_jsonl, every write
+# through write_text.
+
+
+def read_json(path, parse):
+    """Decode the JSON object in file `path` and return `parse(object)`.
+
+    Undecodable input, a top level that is not an object, and every
+    CorpusError that `parse` raises become errors prefixed with `path`.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise SchemaError(
+                f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
+            ) from e
+        except (ValueError, RecursionError) as e:
+            raise _undecodable(path, e) from e
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: top level must be an object")
+    try:
+        return parse(data)
+    except CorpusError as e:
+        raise type(e)(f"{path}: {e}") from e
+
+
+def read_jsonl(path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line of JSONL file
+    `path`, streaming. Undecodable lines and lines that are not objects
+    raise SchemaError prefixed with `path:line`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise SchemaError(f"{path}:{lineno}: invalid JSON: {e.msg}") from e
+                except (ValueError, RecursionError) as e:
+                    raise _undecodable(f"{path}:{lineno}", e) from e
+                if not isinstance(obj, dict):
+                    raise SchemaError(f"{path}:{lineno}: expected an object")
+                yield lineno, obj
+        except UnicodeDecodeError as e:
+            # raised while reading ahead, so the line is not known
+            raise _undecodable(path, e) from e
+
+
+def _undecodable(where: str, e: Exception) -> SchemaError:
+    """A decoding failure other than bad JSON syntax: bytes that are not
+    UTF-8, nesting deeper than the parser's stack, over-long integers."""
+    if isinstance(e, RecursionError):
+        return SchemaError(f"{where}: invalid JSON: nested too deeply")
+    if isinstance(e, UnicodeDecodeError):
+        return SchemaError(f"{where}: not UTF-8 text: {e.reason}")
+    return SchemaError(f"{where}: {e}")
+
+
+def write_text(path, chunks: Iterable[str]) -> None:
+    """Write `chunks` to file `path`, or to stdout when `path` is None or
+    empty (as an unset --output is)."""
+    if not path:
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+
+
+def write_json(path, data) -> None:
+    """Write `data` as JSON indented by 2 plus a newline, to file `path`,
+    or to stdout when `path` is None."""
+    write_text(path, (json.dumps(data, indent=2), "\n"))
+
+
+def write_jsonl(path, rows: Iterable) -> None:
+    """Write one JSON line per row, to file `path` or to stdout when `path`
+    is None."""
+    write_text(path, (json.dumps(row) + "\n" for row in rows))
+
+
+_REQUIRED = object()
+_KINDS = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+          list: "a list", dict: "an object"}
 
 
 def _expect_object(obj, where: str) -> None:
@@ -230,40 +316,31 @@ def _expect_object(obj, where: str) -> None:
         raise SchemaError(f"{where}: expected an object")
 
 
-def _require(obj: Mapping, key: str, kind: type, where: str):
-    """Field `key` of `obj`, which the caller has checked is a Mapping."""
-    if key not in obj:
-        raise SchemaError(f"{where}: missing field {key!r}")
-    value = obj[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{where}.{key}: expected a number")
+def _require(obj: Mapping, key: str, kind: type, where: str, default=_REQUIRED):
+    """Field `key` of `obj` (a Mapping) as exactly a `kind`; an int in float
+    range also reads as a float. `where` names `obj` in messages ("" for a
+    file's top level). A field with a `default` may be absent or null."""
+    value = obj.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
         return float(value)
-    if kind is int and isinstance(value, bool):
-        raise SchemaError(f"{where}.{key}: expected an integer")
-    if not isinstance(value, kind):
-        raise SchemaError(f"{where}.{key}: expected {kind.__name__}")
-    return value
+    problem = "missing field" if key not in obj else f"expected {_KINDS[kind]}"
+    raise SchemaError(f"{where}.{key}: {problem}" if where else f"{key}: {problem}")
 
 
 def mention_from_json(obj: Mapping, where: str = "mention") -> Mention:
     _expect_object(obj, where)
-    head = obj.get("head_lemma")
-    if head is not None and not isinstance(head, str):
-        raise SchemaError(f"{where}.head_lemma: expected a string")
-    score = obj.get("score")
-    if score is not None:
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise SchemaError(f"{where}.score: expected a number")
-        score = float(score)
     return Mention(
         mention_id=_require(obj, "mention_id", str, where),
         doc_id=_require(obj, "doc_id", str, where),
         start_token=_require(obj, "start_token", int, where),
         end_token=_require(obj, "end_token", int, where),
         mention_type=_require(obj, "type", str, where),
-        head_lemma=head,
-        mention_score=score,
+        head_lemma=_require(obj, "head_lemma", str, where, None),
+        mention_score=_require(obj, "score", float, where, None),
     )
 
 
@@ -280,6 +357,31 @@ def mention_to_json(m: Mention) -> dict:
     if m.mention_score is not None:
         obj["score"] = m.mention_score
     return obj
+
+
+def _mention_table(rows: list) -> dict[str, Mention]:
+    """A `mentions` list as mentions by id, in list order; ids are unique."""
+    table: dict[str, Mention] = {}
+    for i, obj in enumerate(rows):
+        m = mention_from_json(obj, f"mentions[{i}]")
+        if m.mention_id in table:
+            raise InvariantError(f"duplicate mention_id {m.mention_id!r}")
+        table[m.mention_id] = m
+    return table
+
+
+def _clusters(data: Mapping, known: Mapping | None) -> list[list[str]]:
+    """The `clusters` field: lists of string mention ids, each of them a key
+    of `known` unless `known` is None."""
+    clusters = _require(data, "clusters", list, "")
+    for c, ids in enumerate(clusters):
+        if not isinstance(ids, list) or not all(isinstance(m, str) for m in ids):
+            raise SchemaError(f"clusters[{c}]: expected a list of mention ids")
+        if known is not None:
+            unknown = [m for m in ids if m not in known]
+            if unknown:
+                raise SchemaError(f"clusters[{c}]: unknown mentions {unknown[:5]}")
+    return clusters
 
 
 def _document_from_json(obj: Mapping, where: str) -> Document:
@@ -305,60 +407,34 @@ def _document_from_json(obj: Mapping, where: str) -> Document:
     )
 
 
-def load_corpus(path) -> Corpus:
-    """Read a corpus JSON file, validating schema and data invariants."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(
-                f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-            ) from e
-    if not isinstance(data, Mapping):
-        raise SchemaError(f"{path}: top level must be an object")
-
+def _corpus_from_json(data: Mapping) -> Corpus:
     documents: dict[str, Document] = {}
-    for d, obj in enumerate(_require(data, "documents", list, str(path))):
+    for d, obj in enumerate(_require(data, "documents", list, "")):
         doc = _document_from_json(obj, f"documents[{d}]")
         if doc.doc_id in documents:
             raise InvariantError(f"duplicate doc_id {doc.doc_id!r}")
         documents[doc.doc_id] = doc
-
-    mentions = [
-        mention_from_json(obj, f"mentions[{i}]")
-        for i, obj in enumerate(_require(data, "mentions", list, str(path)))
-    ]
-    by_id = {m.mention_id: m for m in mentions}
-
-    clusters = []
-    clustered = set()
-    for c, raw in enumerate(_require(data, "clusters", list, str(path))):
-        if not isinstance(raw, list):
-            raise SchemaError(f"clusters[{c}]: expected a list of mention ids")
-        for mid in raw:
-            if not isinstance(mid, str):
-                raise SchemaError(f"clusters[{c}]: expected string mention ids")
-            if mid not in by_id:
-                raise SchemaError(f"clusters[{c}]: unknown mention_id {mid!r}")
-        clusters.append(raw)
-        clustered.update(raw)
+    mentions = _mention_table(_require(data, "mentions", list, ""))
+    clusters = _clusters(data, mentions)
+    clustered = {m for ids in clusters for m in ids}
     # unlisted mentions become singletons
-    clusters.extend([m.mention_id] for m in mentions if m.mention_id not in clustered)
-
-    split = data.get("split", "test")
-    if not isinstance(split, str):
-        raise SchemaError(f"{path}.split: expected a string")
+    clusters.extend([m] for m in mentions if m not in clustered)
     return Corpus(
         documents=documents,
-        gold_mentions=tuple(mentions),
+        gold_mentions=tuple(mentions.values()),
         gold_partition=Partition(clusters),
-        split=split,
+        split=_require(data, "split", str, "", "test"),
     )
+
+
+def load_corpus(path) -> Corpus:
+    """Read a corpus JSON file, validating schema and data invariants."""
+    return read_json(path, _corpus_from_json)
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus JSON file; `load_corpus` of the result is identical."""
-    data = {
+    write_json(path, {
         "documents": [
             {
                 "doc_id": doc.doc_id,
@@ -374,7 +450,35 @@ def save_corpus(corpus: Corpus, path) -> None:
         "mentions": [mention_to_json(m) for m in corpus.gold_mentions],
         "clusters": [sorted(c) for c in corpus.gold_partition.clusters],
         "split": corpus.split,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    })
+
+
+def _partition_from_json(data: Mapping) -> tuple[Partition, list[Mention] | None]:
+    rows = _require(data, "mentions", list, "", None)
+    mentions = None if rows is None else _mention_table(rows)
+    partition = Partition(_clusters(data, mentions))
+    return partition, None if mentions is None else list(mentions.values())
+
+
+def load_partition_file(path) -> tuple[Partition, list[Mention] | None]:
+    """Read {"mentions"?: [...], "clusters": [[mention_id, ...], ...]}."""
+    return read_json(path, _partition_from_json)
+
+
+def save_partition_file(
+    path, partition: Partition, mentions: Sequence[Mention] | None = None
+) -> None:
+    """Write a partition file, with a mention table when `mentions` is
+    given; `path` None writes to stdout."""
+    data: dict = {}
+    if mentions is not None:
+        data["mentions"] = [mention_to_json(m) for m in mentions]
+    data["clusters"] = [sorted(c) for c in partition.clusters]
+    write_json(path, data)
+
+
+def load_candidates(path) -> list[Mention]:
+    """Read candidate mentions: {"mentions": [...]} with the corpus schema."""
+    return read_json(
+        path, lambda data: list(_mention_table(_require(data, "mentions", list, "")).values())
+    )

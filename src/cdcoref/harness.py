@@ -1,4 +1,4 @@
-"""End-to-end orchestration: evaluation units, pipeline runs, partition files.
+"""End-to-end orchestration: evaluation units, pipeline runs, config files.
 
 A pipeline run selects mentions per evaluation unit (a set of documents),
 clusters them, and pools the per-unit clusters into one response partition
@@ -12,7 +12,6 @@ end_token), so predicted spans line up with gold spans regardless of ids.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -35,9 +34,12 @@ from .corpus import (
     Mention,
     Partition,
     SchemaError,
+    _require,
+    load_candidates,
     load_corpus,
-    mention_from_json,
-    mention_to_json,
+    load_partition_file,
+    read_json,
+    save_partition_file,
 )
 from .metrics import SINGLETON_POLICIES, MetricReport, evaluate
 from .topics import cluster_documents, tfidf_vectors
@@ -244,64 +246,30 @@ def run_pipeline(
     response, response_mentions = build_response(
         corpus, config, pair_scores, mention_scores, candidates
     )
+    return response, _score_response(corpus, config, response, response_mentions)
+
+
+def _score_response(
+    corpus: Corpus, config: EvalConfig, response: Partition, mentions: Sequence[Mention]
+) -> MetricReport:
     gold = corpus.mentions_of_type(config.mention_type)
     key = corpus.gold_partition.restricted_to(m.mention_id for m in gold)
-    report = evaluate(
+    return evaluate(
         partition_on_spans(key, gold),
-        partition_on_spans(response, response_mentions),
+        partition_on_spans(response, mentions),
         config.singleton_policy,
     )
-    return response, report
 
 
-# --- partition files ---------------------------------------------------------
+def response_members(response: Partition, mentions: Sequence[Mention]) -> list[Mention]:
+    """The mention table of a response partition file: the members of each
+    cluster in id order, cluster by cluster, taken from `mentions` (the
+    selected mentions `build_response` returns)."""
+    by_id = {m.mention_id: m for m in mentions}
+    return [by_id[mid] for c in response.clusters for mid in sorted(c)]
 
 
-def load_partition_file(path) -> tuple[Partition, list[Mention] | None]:
-    """Read {"mentions"?: [...], "clusters": [[mention_id, ...], ...]}."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(
-                f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-            ) from e
-    if not isinstance(data, dict) or "clusters" not in data:
-        raise SchemaError(f"{path}: expected an object with a 'clusters' field")
-    clusters = data["clusters"]
-    if not isinstance(clusters, list) or not all(
-        isinstance(c, list) and all(isinstance(m, str) for m in c) for c in clusters
-    ):
-        raise SchemaError(f"{path}: 'clusters' must be lists of mention ids")
-    mentions = None
-    if "mentions" in data:
-        if not isinstance(data["mentions"], list):
-            raise SchemaError(f"{path}: 'mentions' must be a list")
-        mentions = [
-            mention_from_json(obj, f"{path}: mentions[{i}]")
-            for i, obj in enumerate(data["mentions"])
-        ]
-        known = set()
-        for m in mentions:
-            if m.mention_id in known:
-                raise InvariantError(f"{path}: duplicate mention_id {m.mention_id!r}")
-            known.add(m.mention_id)
-        unknown = {m for c in clusters for m in c} - known
-        if unknown:
-            raise SchemaError(f"{path}: clusters reference unknown mentions {sorted(unknown)[:5]}")
-    return Partition(clusters), mentions
-
-
-def save_partition_file(
-    path, partition: Partition, mentions: Sequence[Mention] | None = None
-) -> None:
-    data: dict = {}
-    if mentions is not None:
-        data["mentions"] = [mention_to_json(m) for m in mentions]
-    data["clusters"] = [sorted(c) for c in partition.clusters]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+# --- partition files and pipeline config files ---------------------------
 
 
 def run_evaluation(key_path, response_path, singleton_policy: str) -> MetricReport:
@@ -318,7 +286,36 @@ def run_evaluation(key_path, response_path, singleton_policy: str) -> MetricRepo
     return evaluate(key, response, singleton_policy)
 
 
-# --- pipeline config files ---------------------------------------------------
+def _config_from_json(raw: Mapping, base: str) -> tuple[EvalConfig, dict]:
+    """An EvalConfig and the input and output paths, resolved against `base`;
+    an empty or absent optional path is None."""
+    paths = {"corpus": os.path.join(base, _require(raw, "corpus", str, ""))}
+    for key in ("scores", "mention_scores", "candidates", "output"):
+        value = _require(raw, key, str, "", None)
+        paths[key] = os.path.join(base, value) if value else None
+    source = _require(raw, "mention_source", str, "", "gold")
+    cc = _require(raw, "clustering", dict, "", None)
+    try:
+        clustering = None if cc is None else ClusteringConfig(
+            merge_threshold=_require(cc, "tau", float, "clustering"),
+            prune_ratio=_require(cc, "lambda", float, "clustering"),
+            gold_mention_mode=_require(
+                cc, "gold_mention_mode", bool, "clustering", source == "gold"
+            ),
+            max_span_width=_require(cc, "max_span_width", int, "clustering", 15),
+        )
+        config = EvalConfig(
+            unit_level=_require(raw, "unit_level", str, "", "gold_topic"),
+            mention_source=source,
+            singleton_policy=_require(raw, "singleton_policy", str, "", "included"),
+            mention_type=_require(raw, "mention_type", str, "", "all"),
+            clustering=clustering,
+            doc_threshold=_require(raw, "doc_threshold", float, "", None),
+            apply_sigmoid=_require(raw, "sigmoid", bool, "", False),
+        )
+    except ValueError as e:
+        raise SchemaError(str(e)) from e
+    return config, paths
 
 
 def run_pipeline_from_config(config_path) -> tuple[Partition, MetricReport]:
@@ -330,84 +327,17 @@ def run_pipeline_from_config(config_path) -> tuple[Partition, MetricReport]:
     "gold_mention_mode", "max_span_width"}, "doc_threshold", "sigmoid",
     "scores", "mention_scores", "candidates", "output"}.
     """
-    with open(config_path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{config_path}: invalid JSON: {e.msg}") from e
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{config_path}: expected a JSON object")
-    if "corpus" not in raw:
-        raise SchemaError(f"{config_path}: missing 'corpus' path")
     base = os.path.dirname(os.path.abspath(config_path))
-
-    def resolve(key):
-        value = raw.get(key)
-        return None if value is None else os.path.join(base, value)
-
-    clustering = None
-    if "clustering" in raw:
-        cc = raw["clustering"]
-        if not isinstance(cc, dict) or "tau" not in cc or "lambda" not in cc:
-            raise SchemaError(f"{config_path}: clustering needs 'tau' and 'lambda'")
-        clustering = ClusteringConfig(
-            merge_threshold=cc["tau"],
-            prune_ratio=cc["lambda"],
-            gold_mention_mode=cc.get("gold_mention_mode", raw.get("mention_source", "gold") == "gold"),
-            max_span_width=cc.get("max_span_width", 15),
-        )
-    try:
-        config = EvalConfig(
-            unit_level=raw.get("unit_level", "gold_topic"),
-            mention_source=raw.get("mention_source", "gold"),
-            singleton_policy=raw.get("singleton_policy", "included"),
-            mention_type=raw.get("mention_type", "all"),
-            clustering=clustering,
-            doc_threshold=raw.get("doc_threshold"),
-            apply_sigmoid=bool(raw.get("sigmoid", False)),
-        )
-    except ValueError as e:
-        raise SchemaError(f"{config_path}: {e}") from e
-
-    corpus = load_corpus(resolve("corpus"))
-    pair_scores = read_score_file(resolve("scores")) if raw.get("scores") else None
+    config, paths = read_json(config_path, lambda raw: _config_from_json(raw, base))
+    corpus = load_corpus(paths["corpus"])
+    pair_scores = read_score_file(paths["scores"]) if paths["scores"] else None
     mention_scores = (
-        read_mention_scores(resolve("mention_scores"))
-        if raw.get("mention_scores")
-        else None
+        read_mention_scores(paths["mention_scores"]) if paths["mention_scores"] else None
     )
-    candidates = None
-    if raw.get("candidates"):
-        candidates = load_candidates(resolve("candidates"))
-
-    response, report = run_pipeline(
+    candidates = load_candidates(paths["candidates"]) if paths["candidates"] else None
+    response, mentions = build_response(
         corpus, config, pair_scores, mention_scores, candidates
     )
-    if raw.get("output"):
-        by_id = {m.mention_id: m for m in corpus.gold_mentions}
-        if candidates:
-            by_id.update({m.mention_id: m for m in candidates})
-        members = [by_id[mid] for c in response.clusters for mid in sorted(c)]
-        save_partition_file(resolve("output"), response, members)
-    return response, report
-
-
-def load_candidates(path) -> list[Mention]:
-    """Read candidate mentions: {"mentions": [...]} with the corpus schema."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}: invalid JSON: {e.msg}") from e
-    if not isinstance(data, dict) or not isinstance(data.get("mentions"), list):
-        raise SchemaError(f"{path}: expected an object with a 'mentions' list")
-    mentions = [
-        mention_from_json(obj, f"{path}: mentions[{i}]")
-        for i, obj in enumerate(data["mentions"])
-    ]
-    seen = set()
-    for m in mentions:
-        if m.mention_id in seen:
-            raise InvariantError(f"duplicate candidate mention_id {m.mention_id!r}")
-        seen.add(m.mention_id)
-    return mentions
+    if paths["output"]:
+        save_partition_file(paths["output"], response, response_members(response, mentions))
+    return response, _score_response(corpus, config, response, mentions)

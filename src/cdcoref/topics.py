@@ -8,14 +8,13 @@ a term present in every document carries zero weight.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Document
+from .corpus import Document, write_json
 from .linkage import average_link
 
 
@@ -96,11 +95,6 @@ def cluster_documents(
 
 def write_topics(path, clusters: Iterable[Iterable[str]], threshold: float) -> None:
     """Write a topic clustering as {"clusters": [[doc_id, ...], ...],
-    "threshold": real} with deterministic ordering."""
-    data = {
-        "clusters": sorted(sorted(c) for c in clusters),
-        "threshold": threshold,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    "threshold": real} with deterministic ordering, to `path` or to stdout
+    when `path` is None."""
+    write_json(path, {"clusters": sorted(sorted(c) for c in clusters), "threshold": threshold})
