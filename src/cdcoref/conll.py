@@ -23,7 +23,15 @@ import re
 from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Document, InvariantError, Mention, Partition, SchemaError, write_text
+from .corpus import (
+    Document,
+    InvariantError,
+    Mention,
+    Partition,
+    SchemaError,
+    read_lines,
+    write_text,
+)
 
 _MARK = re.compile(r"\((\d+)\)|\((\d+)|(\d+)\)")
 
@@ -136,49 +144,48 @@ def read_conll_spans(path) -> list[tuple[str, int, int, int]]:
                 f"{sorted(dangling)} in document {current_doc!r}"
             )
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#begin document") or line.startswith("#end document"):
-                check_closed(lineno)
-                current_doc = None
-                continue
-            parts = line.split()
-            if len(parts) < 5:
-                raise SchemaError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-            doc_id, coref = parts[0], parts[-1]
-            try:
-                token_index = int(parts[2])
-            except ValueError:
-                raise SchemaError(f"{path}:{lineno}: bad token index {parts[2]!r}") from None
-            if doc_id != current_doc:
-                check_closed(lineno)
-                current_doc = doc_id
-            if coref == "-":
-                continue
-            pos = 0
-            for match in _MARK.finditer(coref):
-                if match.start() != pos:
-                    raise SchemaError(f"{path}:{lineno}: bad coref column {coref!r}")
-                pos = match.end()
-                single, op, close = match.groups()
-                if single is not None:
-                    results.append((doc_id, token_index, token_index, int(single)))
-                elif op is not None:
-                    open_spans[int(op)].append(token_index)
-                else:
-                    cid = int(close)
-                    if not open_spans[cid]:
-                        raise SchemaError(
-                            f"{path}:{lineno}: closing bracket for cluster {cid} "
-                            "without a matching opening"
-                        )
-                    results.append((doc_id, open_spans[cid].pop(), token_index, cid))
-            if pos != len(coref):
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.startswith("#begin document") or line.startswith("#end document"):
+            check_closed(lineno)
+            current_doc = None
+            continue
+        parts = line.split()
+        if len(parts) < 5:
+            raise SchemaError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
+        doc_id, coref = parts[0], parts[-1]
+        try:
+            token_index = int(parts[2])
+        except ValueError:
+            raise SchemaError(f"{path}:{lineno}: bad token index {parts[2]!r}") from None
+        if doc_id != current_doc:
+            check_closed(lineno)
+            current_doc = doc_id
+        if coref == "-":
+            continue
+        pos = 0
+        for match in _MARK.finditer(coref):
+            if match.start() != pos:
                 raise SchemaError(f"{path}:{lineno}: bad coref column {coref!r}")
-        check_closed(lineno)
+            pos = match.end()
+            single, op, close = match.groups()
+            if single is not None:
+                results.append((doc_id, token_index, token_index, int(single)))
+            elif op is not None:
+                open_spans[int(op)].append(token_index)
+            else:
+                cid = int(close)
+                if not open_spans[cid]:
+                    raise SchemaError(
+                        f"{path}:{lineno}: closing bracket for cluster {cid} "
+                        "without a matching opening"
+                    )
+                results.append((doc_id, open_spans[cid].pop(), token_index, cid))
+        if pos != len(coref):
+            raise SchemaError(f"{path}:{lineno}: bad coref column {coref!r}")
+    check_closed(lineno)
     return results
 
 

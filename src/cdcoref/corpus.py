@@ -224,8 +224,8 @@ def restrict_to_unit(
 
 
 # --- JSON files ---------------------------------------------------------------
-# Every JSON/JSONL read goes through read_json or read_jsonl, every write
-# through write_text.
+# Every JSON/JSONL read goes through read_json or read_jsonl (text lines,
+# CoNLL included, through read_lines), every write through write_text.
 
 
 def read_json(path, parse):
@@ -255,20 +255,27 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank line of JSONL file
     `path`, streaming. Undecodable lines and lines that are not objects
     raise SchemaError prefixed with `path:line`."""
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"{path}:{lineno}: invalid JSON: {e.msg}") from e
+        except (ValueError, RecursionError) as e:
+            raise _undecodable(f"{path}:{lineno}", e) from e
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{path}:{lineno}: expected an object")
+        yield lineno, obj
+
+
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) for each line of UTF-8 text file `path`,
+    streaming. Bytes that are not UTF-8 raise SchemaError prefixed with
+    `path`."""
     with open(path, encoding="utf-8") as fh:
         try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise SchemaError(f"{path}:{lineno}: invalid JSON: {e.msg}") from e
-                except (ValueError, RecursionError) as e:
-                    raise _undecodable(f"{path}:{lineno}", e) from e
-                if not isinstance(obj, dict):
-                    raise SchemaError(f"{path}:{lineno}: expected an object")
-                yield lineno, obj
+            yield from enumerate(fh, start=1)
         except UnicodeDecodeError as e:
             # raised while reading ahead, so the line is not known
             raise _undecodable(path, e) from e

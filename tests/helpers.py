@@ -6,7 +6,10 @@ path with the package implementations they check. `heap_average_link` is
 the package's former per-pair priority-queue linkage, kept verbatim as the
 exact-trace oracle for the array engine in `cdcoref.linkage`. Likewise
 `reference_metrics` runs the former per-cluster metric loops, kept verbatim
-as the bit-exact oracle for the overlap table in `cdcoref.metrics`.
+as the bit-exact oracle for the overlap table in `cdcoref.metrics`, and
+`reference_tfidf_vectors` and `callable_cluster_documents` are the former
+n-gram counting and per-pair `cosine` clustering, the oracles for the
+one-pass counting and the similarity array in `cdcoref.topics`.
 """
 
 from __future__ import annotations
@@ -14,13 +17,24 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import warnings
 from collections import Counter
 from typing import Callable, Sequence
 
 import hypothesis.strategies as st
 import numpy as np
 
-from cdcoref import PRF, Merge, Partition, ScoreTable, optimal_alignment
+from cdcoref import (
+    PRF,
+    DocVector,
+    Document,
+    Merge,
+    Partition,
+    ScoreTable,
+    average_link,
+    cosine,
+    optimal_alignment,
+)
 
 
 def random_partition(rng, members) -> Partition:
@@ -245,6 +259,50 @@ def reference_metrics(key: Partition, response: Partition) -> tuple[PRF, PRF, PR
         _ceaf_e(key, response),
         PRF.from_counts(*_lea_side(key, response), *_lea_side(response, key)),
     )
+
+
+def _ngram_counts(texts: Sequence[str]) -> Counter:
+    counts: Counter = Counter()
+    for n in (1, 2, 3):
+        for i in range(len(texts) - n + 1):
+            counts[tuple(texts[i : i + n])] += 1
+    return counts
+
+
+def reference_tfidf_vectors(docs: Sequence[Document]) -> list[DocVector]:
+    """One sparse tf*idf vector per document (zero weights dropped)."""
+    if not docs:
+        raise ValueError("at least one document is required")
+    counts = []
+    df: Counter = Counter()
+    for doc in docs:
+        if not doc.tokens:
+            warnings.warn(f"document {doc.doc_id!r} has no tokens")
+        c = _ngram_counts([t.text.lower() for t in doc.tokens])
+        counts.append(c)
+        df.update(c.keys())
+    n = len(docs)
+    vectors = []
+    for doc, c in zip(docs, counts):
+        weights = {}
+        for term, tf in c.items():
+            idf = math.log(n / df[term])
+            if idf > 0.0:
+                weights[term] = tf * idf
+        vectors.append(DocVector(doc.doc_id, weights))
+    return vectors
+
+
+def callable_cluster_documents(
+    vectors: Sequence[DocVector], threshold: float
+) -> tuple[list[frozenset], list[Merge]]:
+    """Average-link clustering of documents with `cosine` called per pair.
+    Returns the clusters and the merge log."""
+    ids = [v.doc_id for v in vectors]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate doc_id in vectors")
+    by_id = {v.doc_id: v for v in vectors}
+    return average_link(ids, lambda a, b: cosine(by_id[a], by_id[b]), threshold)
 
 
 @st.composite

@@ -170,6 +170,14 @@ class TestReader:
         )
         assert sorted(read_conll_spans(path)) == [("d", 0, 2, 3), ("d", 1, 1, 5)]
 
+    def test_non_utf8_bytes_are_schema_error(self, tmp_path):
+        path = tmp_path / "p.conll"
+        path.write_bytes(b"#begin document (u); part 000\nd 0 0 caf\xe9 (3)\n#end document\n")
+        with pytest.raises(SchemaError, match=f"^{path}: not UTF-8 text"):
+            read_conll_spans(path)
+        with pytest.raises(SchemaError, match=f"^{path}: not UTF-8 text"):
+            import_partition_conll(path)
+
     def test_unclosed_span_at_block_end(self, tmp_path):
         path = tmp_path / "p.conll"
         path.write_text(
