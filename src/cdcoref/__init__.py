@@ -63,6 +63,6 @@ from .metrics import (
     muc,
     optimal_alignment,
 )
-from .topics import DocVector, cluster_documents, cosine, tfidf_vectors, write_topics
+from .topics import DocVector, cluster_documents, cosine, group_documents, tfidf_vectors, write_topics
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .harness import (
     run_pipeline_from_config,
     save_partition_file,
 )
-from .topics import cluster_documents, tfidf_vectors, write_topics
+from .topics import group_documents, write_topics
 
 _POLICIES = {"include": "included", "omit": "omitted"}
 
@@ -75,7 +75,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_topics(args) -> int:
     corpus = load_corpus(args.corpus)
     docs = [corpus.documents[d] for d in sorted(corpus.documents)]
-    clusters = cluster_documents(tfidf_vectors(docs), args.threshold)
+    clusters = group_documents(docs, args.threshold)
     write_topics(args.output, clusters, args.threshold)
     return 0
 

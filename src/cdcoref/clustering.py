@@ -149,11 +149,14 @@ class ClusteringConfig:
 def prune_spans(
     candidates: Sequence[Mention], prune_ratio: float, token_count: int
 ) -> list[Mention]:
-    """Keep the floor(prune_ratio * token_count) best-scoring candidates.
+    """Keep the floor(prune_ratio * token_count) best-scoring spans.
 
-    Ties at the cut boundary go to the smaller (doc_id, start_token,
-    end_token). Returns fewer spans only when fewer exist; output order is
-    score-descending with the same tie rule.
+    Candidates sharing a span (say, one event and one entity) first
+    collapse to the best-scoring one, the smaller mention_id on a tie, as
+    spans are the identity that responses are scored on. Ties at the cut
+    boundary go to the smaller (doc_id, start_token, end_token). Returns
+    fewer spans only when fewer exist; output order is score-descending
+    with the same tie rule.
     """
     if token_count < 0:
         raise ValueError("token_count must be non-negative")
@@ -166,7 +169,14 @@ def prune_spans(
         candidates,
         key=lambda m: (-m.mention_score, m.doc_id, m.start_token, m.end_token, m.mention_id),
     )
-    return ranked[:budget]
+    # each span's first candidate in rank order is its best; the dict
+    # keeps the spans in that order
+    best: dict = {}
+    for m in ranked:
+        if len(best) >= budget:
+            break
+        best.setdefault(m.span(), m)
+    return list(best.values())
 
 
 def combine_pair_score(

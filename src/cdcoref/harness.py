@@ -42,7 +42,9 @@ from .corpus import (
     save_partition_file,
 )
 from .metrics import SINGLETON_POLICIES, MetricReport, evaluate
-from .topics import cluster_documents, tfidf_vectors
+# cluster_documents and tfidf_vectors stay bound here unused, as
+# perfbench/spans.py wraps them by these names
+from .topics import cluster_documents, group_documents, tfidf_vectors  # noqa: F401
 
 UNIT_LEVELS = ("gold_subtopic", "gold_topic", "predicted_topic", "corpus")
 MENTION_SOURCES = ("gold", "predicted")
@@ -92,7 +94,7 @@ def evaluation_units(
         return [("corpus", frozenset(corpus.documents))]
     if config.unit_level == "predicted_topic":
         docs = [corpus.documents[d] for d in sorted(corpus.documents)]
-        clusters = cluster_documents(tfidf_vectors(docs), config.doc_threshold)
+        clusters = group_documents(docs, config.doc_threshold)
         return [
             (f"predicted_{i}", frozenset(cluster))
             for i, cluster in enumerate(clusters)

@@ -374,3 +374,25 @@ class TestScoreFileRowChecks:
         path = tmp_path / "scores.jsonl"
         path.write_text('{"m1": "b", "m2": "a", "score": 2}\n')
         assert read_score_file(path).get("a", "b") == 2.0
+
+
+class TestPruneSpansSharedSpans:
+    def test_best_candidate_of_a_span_is_kept(self):
+        cands = [
+            _candidate("low", 1.0, start=3, end=3),
+            _candidate("high", 2.0, start=3, end=3),
+            _candidate("other", 1.5, start=4, end=4),
+        ]
+        assert [m.mention_id for m in prune_spans(cands, 1.0, 10)] == ["high", "other"]
+
+    def test_tie_goes_to_the_smaller_mention_id(self):
+        cands = [_candidate("m2", 1.0, start=3, end=3), _candidate("m1", 1.0, start=3, end=3)]
+        assert [m.mention_id for m in prune_spans(cands, 1.0, 10)] == ["m1"]
+
+    def test_budget_counts_spans(self):
+        cands = [
+            _candidate("a", 3.0, start=0, end=0),
+            _candidate("b", 2.0, start=0, end=0),
+            _candidate("c", 1.0, start=1, end=1),
+        ]
+        assert [m.mention_id for m in prune_spans(cands, 0.5, 4)] == ["a", "c"]

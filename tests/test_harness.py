@@ -588,3 +588,22 @@ class TestCombinedScoreArray:
         )
         response, _ = build_response(toy_corpus, config, ScoreTable(), candidates=cands)
         assert response == Partition([["c1"], ["c2"]])
+
+
+def test_one_span_offered_as_event_and_entity(toy_corpus):
+    # with mention_type "all" both candidates pass the type filter; they
+    # used to be kept as two singletons on one span, which scoring on span
+    # identity rejected as "ambiguous across clusters"
+    config = EvalConfig(
+        unit_level="corpus",
+        mention_source="predicted",
+        mention_type="all",
+        clustering=ClusteringConfig(0.5, 1.0, max_span_width=3),
+    )
+    cands = [
+        candidate("c1", "a1", 1, 1, 1.0),
+        candidate("c2", "a1", 1, 1, 1.0, mtype="entity"),
+        candidate("c3", "a1", 5, 5, 1.0),
+    ]
+    response, _ = run_pipeline(toy_corpus, config, candidates=cands)
+    assert response == Partition([["c1"], ["c3"]])
