@@ -9,7 +9,6 @@ from .baselines import (
 from .clustering import (
     ClusteringConfig,
     ScoreTable,
-    agglomerative_cluster,
     agglomerative_cluster_trace,
     combine_pair_score,
     generate_training_pairs,

@@ -217,12 +217,6 @@ def agglomerative_cluster_trace(
     return Partition(final), merges
 
 
-def agglomerative_cluster(
-    mentions: Sequence, scores: ScoreTable, merge_threshold: float
-) -> Partition:
-    return agglomerative_cluster_trace(mentions, scores, merge_threshold)[0]
-
-
 def generate_training_pairs(
     gold: Partition, negative_ratio: int = 20, seed: int = 0
 ) -> list[tuple[str, str, int]]:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 MENTION_TYPES = ("event", "entity")
 SPLITS = ("train", "validation", "test")
@@ -116,10 +117,6 @@ class Partition:
         keep = set(keep)
         return Partition(c & keep for c in self.clusters if c & keep)
 
-    def relabeled(self, mapping: Mapping) -> "Partition":
-        """Rename every member through `mapping` (must be injective)."""
-        return Partition({mapping[m] for m in c} for c in self.clusters)
-
     def __len__(self) -> int:
         return len(self.clusters)
 
@@ -138,12 +135,18 @@ class Partition:
 
 @dataclass(frozen=True)
 class Corpus:
-    documents: dict[str, Document]
+    """A validated corpus, never mutated after construction (`documents`
+    is a read-only copy). `_memo` holds what `harness` derives from it
+    alone; `==`, `repr` and `dataclasses.replace` ignore it."""
+
+    documents: Mapping[str, Document]
     gold_mentions: tuple[Mention, ...]
     gold_partition: Partition
     split: str = "test"
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "documents", MappingProxyType(dict(self.documents)))
         if self.split not in SPLITS:
             raise SchemaError(f"unknown split {self.split!r}; expected one of {SPLITS}")
         seen = set()
@@ -159,12 +162,6 @@ class Corpus:
                 "gold partition does not cover the mention set exactly "
                 f"(unclustered: {missing[:5]}, unknown: {extra[:5]})"
             )
-
-    def mention_by_id(self, mention_id: str) -> Mention:
-        for m in self.gold_mentions:
-            if m.mention_id == mention_id:
-                return m
-        raise KeyError(mention_id)
 
     def mentions_of_type(self, mention_type: str) -> list[Mention]:
         """Gold mentions of one type, or all of them for `"all"`."""

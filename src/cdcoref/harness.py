@@ -8,6 +8,14 @@ penalize per-unit responses instead of being macro-averaged away.
 
 Key/response matching uses exact span identity (doc_id, start_token,
 end_token), so predicted spans line up with gold spans regardless of ids.
+
+A `Corpus` is never mutated after construction, so what depends only on
+the corpus and the unit settings, never on tau, is computed once per
+`Corpus` instance and kept on it: the evaluation units per (unit_level,
+doc_threshold), predicted topics included, and the span-keyed gold key per
+mention_type. Repeated runs on one loaded corpus, such as an in-process
+tau sweep, gain; a one-shot `cdcoref pipeline` or `cluster` run does the
+same work as before.
 """
 
 from __future__ import annotations
@@ -86,19 +94,33 @@ class EvalConfig:
             )
 
 
+def _memoized(corpus: Corpus, key: tuple, compute):
+    """`compute()`, computed once per corpus instance and `key`."""
+    memo = corpus._memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 def evaluation_units(
     corpus: Corpus, config: EvalConfig
 ) -> list[tuple[str, frozenset[str]]]:
-    """Deterministically ordered (unit_id, doc_ids) pairs for one run."""
+    """Deterministically ordered (unit_id, doc_ids) pairs for one run,
+    grouped once per corpus, unit_level and doc_threshold."""
+    key = ("units", config.unit_level, config.doc_threshold)
+    return list(_memoized(corpus, key, lambda: _units(corpus, config)))
+
+
+def _units(corpus: Corpus, config: EvalConfig) -> tuple[tuple[str, frozenset[str]], ...]:
     if config.unit_level == "corpus":
-        return [("corpus", frozenset(corpus.documents))]
+        return (("corpus", frozenset(corpus.documents)),)
     if config.unit_level == "predicted_topic":
         docs = [corpus.documents[d] for d in sorted(corpus.documents)]
         clusters = group_documents(docs, config.doc_threshold)
-        return [
+        return tuple(
             (f"predicted_{i}", frozenset(cluster))
             for i, cluster in enumerate(clusters)
-        ]
+        )
     groups: dict[str, set[str]] = {}
     for doc in corpus.documents.values():
         if config.unit_level == "gold_topic":
@@ -106,7 +128,7 @@ def evaluation_units(
         else:
             unit_id = f"{doc.topic_id}/{doc.subtopic_id}"
         groups.setdefault(unit_id, set()).add(doc.doc_id)
-    return [(uid, frozenset(groups[uid])) for uid in sorted(groups)]
+    return tuple((uid, frozenset(groups[uid])) for uid in sorted(groups))
 
 
 def _sigmoid(x: float) -> float:
@@ -254,13 +276,18 @@ def run_pipeline(
 def _score_response(
     corpus: Corpus, config: EvalConfig, response: Partition, mentions: Sequence[Mention]
 ) -> MetricReport:
-    gold = corpus.mentions_of_type(config.mention_type)
-    key = corpus.gold_partition.restricted_to(m.mention_id for m in gold)
     return evaluate(
-        partition_on_spans(key, gold),
+        _memoized(corpus, ("key", config.mention_type), lambda: _span_key(corpus, config)),
         partition_on_spans(response, mentions),
         config.singleton_policy,
     )
+
+
+def _span_key(corpus: Corpus, config: EvalConfig) -> Partition:
+    """The gold key over span identity, restricted to the mention type."""
+    gold = corpus.mentions_of_type(config.mention_type)
+    key = corpus.gold_partition.restricted_to(m.mention_id for m in gold)
+    return partition_on_spans(key, gold)
 
 
 def response_members(response: Partition, mentions: Sequence[Mention]) -> list[Mention]:

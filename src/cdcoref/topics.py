@@ -223,10 +223,20 @@ def _similarity_array(n: int, doc: np.ndarray, code: np.ndarray, weight: np.ndar
 
 
 def _similarities(vectors: Sequence[DocVector]) -> np.ndarray:
-    """`_similarity_array` over `vectors` in doc_id order, their terms
-    coded through one dict."""
+    """`_similarity_array` over `vectors` in doc_id order. Only terms
+    whose hash another entry shares are coded through a dict; every other
+    entry is a term of one vector only and gets a code of its own, so that
+    `_similarity_array` drops it without the dict hashing the tuple."""
+    terms = [t for v in vectors for t in v.weights]
+    hashes = np.fromiter(map(hash, terms), np.int64, len(terms))
+    by_hash = np.argsort(hashes)
+    tie = np.zeros(len(terms) + 1, dtype=bool)
+    tie[1:-1] = hashes[by_hash[1:]] == hashes[by_hash[:-1]]
+    shared = np.sort(by_hash[tie[1:] | tie[:-1]]).tolist()
+    # codes from len(terms) up are never shared; the dict's stay below
+    code = np.arange(len(terms), 2 * len(terms))
     codes: dict = {}
-    code = np.array([codes.setdefault(t, len(codes)) for v in vectors for t in v.weights], np.int64)
+    code[shared] = [codes.setdefault(terms[k], len(codes)) for k in shared]
     doc = np.repeat(np.arange(len(vectors)), [len(v.weights) for v in vectors])
     weight = np.fromiter(chain.from_iterable(v.weights.values() for v in vectors), np.float64)
     return _similarity_array(len(vectors), doc, code, weight)

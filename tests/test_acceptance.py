@@ -24,7 +24,7 @@ import pytest
 from cdcoref import (
     Mention,
     Partition,
-    agglomerative_cluster,
+    agglomerative_cluster_trace,
     average_link,
     b_cubed,
     ceaf_e,
@@ -278,7 +278,7 @@ def test_criterion_5_lemma_clustering_equals_baseline():
                     head_lemma=rng.choice(lemmas))
             for i in range(n)
         ]
-        clustered = agglomerative_cluster(mentions, lemma_score_table(mentions), 0.5)
+        clustered = agglomerative_cluster_trace(mentions, lemma_score_table(mentions), 0.5)[0]
         assert clustered == head_lemma_baseline(mentions)
 
 

@@ -8,7 +8,7 @@ from cdcoref import (
     Mention,
     Partition,
     SchemaError,
-    agglomerative_cluster,
+    agglomerative_cluster_trace,
     head_lemma_baseline,
     lemma_pair_scorer,
     lemma_score_table,
@@ -73,5 +73,5 @@ class TestLemmaScorer:
             ]
             table = lemma_score_table(mentions)
             for threshold in (0.25, 0.5, 1.0):
-                clustered = agglomerative_cluster(mentions, table, threshold)
+                clustered = agglomerative_cluster_trace(mentions, table, threshold)[0]
                 assert clustered == head_lemma_baseline(mentions)

@@ -13,7 +13,6 @@ from cdcoref import (
     Partition,
     SchemaError,
     ScoreTable,
-    agglomerative_cluster,
     agglomerative_cluster_trace,
     average_link,
     combine_pair_score,
@@ -240,7 +239,7 @@ class TestAgglomerativeCluster:
         assert len(merges) == 1
 
     def test_unscored_pairs_never_merge(self):
-        part = agglomerative_cluster(["a", "b", "c"], table(ab=0.9), 0.5)
+        part, _ = agglomerative_cluster_trace(["a", "b", "c"], table(ab=0.9), 0.5)
         assert part == Partition([["a", "b"], ["c"]])
 
 

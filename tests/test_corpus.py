@@ -1,6 +1,7 @@
 """Corpus data model: partitions, validation, JSON round-trips."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -47,11 +48,6 @@ class TestPartition:
         q = p.restricted_to({"a", "d", "e"})
         assert q == Partition([["a"], ["d", "e"]])
 
-    def test_relabeled(self):
-        p = Partition([["a", "b"], ["c"]])
-        q = p.relabeled({"a": 1, "b": 2, "c": 3})
-        assert q == Partition([[1, 2], [3]])
-
 
 class TestLoadCorpus:
     def test_example_shape(self, example_corpus):
@@ -71,12 +67,13 @@ class TestLoadCorpus:
         assert example_corpus.gold_partition == Partition(GOLD_CLUSTERS)
 
     def test_mention_fields(self, example_corpus):
-        a = example_corpus.mention_by_id("A")
+        by_id = {m.mention_id: m for m in example_corpus.gold_mentions}
+        a = by_id["A"]
         assert a.span() == ("d1", 1, 1)
         assert a.width() == 1
         assert a.head_lemma == "board"
         assert a.mention_score == 1.5
-        z = example_corpus.mention_by_id("B")
+        z = by_id["B"]
         assert z.mention_score is None
 
     def test_mentions_of_type(self, toy_corpus):
@@ -94,6 +91,22 @@ class TestLoadCorpus:
         assert again.gold_mentions == example_corpus.gold_mentions
         assert again.gold_partition == example_corpus.gold_partition
         assert again.split == example_corpus.split
+
+    def test_documents_are_read_only(self, example_corpus, tmp_path):
+        with pytest.raises(TypeError):
+            example_corpus.documents["d3"] = example_corpus.documents["d1"]
+        with pytest.raises(TypeError):
+            del example_corpus.documents["d1"]
+        assert set(example_corpus.documents) == {"d1", "d2"}
+        out = tmp_path / "copy.json"
+        save_corpus(example_corpus, out)
+        assert load_corpus(out) == example_corpus
+
+    def test_documents_are_copied_at_construction(self, example_corpus):
+        documents = dict(example_corpus.documents)
+        corpus = replace(example_corpus, documents=documents)
+        documents["d3"] = documents["d1"]
+        assert set(corpus.documents) == {"d1", "d2"}
 
     def test_saved_clusters_include_singletons(self, example_corpus, tmp_path):
         out = tmp_path / "copy.json"

@@ -8,6 +8,8 @@ in the unrelated T2 strikes.
 
 import json
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +23,10 @@ from cdcoref import (
     ScoreTable,
     build_response,
     evaluation_units,
+    group_documents,
+    harness,
     lemma_score_table,
+    load_corpus,
     load_partition_file,
     partition_on_spans,
     run_evaluation,
@@ -607,3 +612,136 @@ def test_one_span_offered_as_event_and_entity(toy_corpus):
     ]
     response, _ = run_pipeline(toy_corpus, config, candidates=cands)
     assert response == Partition([["c1"], ["c3"]])
+
+
+def sweep_corpus_data(seed, n_docs=12):
+    """Documents in three topics drawn from overlapping vocabularies, with
+    single-token event and entity mentions clustered within topics."""
+    rng = random.Random(seed)
+    vocab = {t: [f"{t}w{i}" for i in range(8)] + [f"common{i}" for i in range(4)]
+             for t in ("T0", "T1", "T2")}
+    documents, mentions, clusters = [], [], {}
+    for d in range(n_docs):
+        topic = f"T{d % 3}"
+        doc_id = f"doc{d:02d}"
+        words = [rng.choice(vocab[topic]) for _ in range(rng.randrange(6, 20))]
+        documents.append({
+            "doc_id": doc_id, "topic_id": topic, "subtopic_id": f"{topic}s{d % 2}",
+            "tokens": [{"sentence": i // 5, "text": w} for i, w in enumerate(words)],
+        })
+        for pos in rng.sample(range(len(words)), rng.randrange(1, 5)):
+            mid = f"{doc_id}m{pos}"
+            mtype = rng.choice(("event", "entity"))
+            mentions.append({"mention_id": mid, "doc_id": doc_id, "start_token": pos,
+                             "end_token": pos, "type": mtype})
+            clusters.setdefault((topic, mtype, rng.randrange(2)), []).append(mid)
+    scores = ScoreTable({
+        (a["mention_id"], b["mention_id"]): rng.choice((0.2, 0.4, 0.6, 0.8))
+        for i, a in enumerate(mentions) for b in mentions[i + 1:] if rng.random() < 0.6
+    })
+    return {"documents": documents, "mentions": mentions,
+            "clusters": list(clusters.values())}, scores
+
+
+def sweep_config(tau, unit_level="predicted_topic", doc_threshold=0.05, mention_type="event"):
+    return EvalConfig(
+        unit_level=unit_level,
+        mention_type=mention_type,
+        clustering=ClusteringConfig(tau, 0.4, gold_mention_mode=True),
+        doc_threshold=doc_threshold if unit_level == "predicted_topic" else None,
+    )
+
+
+def run_bytes(corpus, config, scores):
+    """A run's partition, report and units, as text to compare bytewise."""
+    partition, report = run_pipeline(corpus, config, scores)
+    units = [(uid, sorted(docs)) for uid, docs in evaluation_units(corpus, config)]
+    return json.dumps([[sorted(c) for c in partition.clusters], units]) + report.to_json()
+
+
+class TestRunInvariantMemo:
+    """Units and the span-keyed gold key are computed once per Corpus
+    instance; no sequence of runs on one corpus may tell them apart from
+    runs on a freshly loaded one."""
+
+    TAUS = (0.2, 0.4, 0.5, 0.6, 0.8)
+
+    def test_sweep_orders_match_fresh_corpus(self, tmp_path):
+        data, scores = sweep_corpus_data(seed=3)
+        path = write_json(tmp_path / "sweep.json", data)
+        shared = load_corpus(path)
+        sweep = [sweep_config(t) for t in self.TAUS]
+        others = [
+            sweep_config(0.5, unit_level="gold_topic"),
+            sweep_config(0.5, unit_level="gold_subtopic", mention_type="entity"),
+            sweep_config(0.4, unit_level="corpus", mention_type="all"),
+            sweep_config(0.6, doc_threshold=0.3),
+            sweep_config(0.6, doc_threshold=0.3, mention_type="entity"),
+            sweep_config(0.4, doc_threshold=0.9, mention_type="all"),
+        ]
+        interleaved = [c for pair in zip(sweep, others) for c in pair] + sweep[::2]
+        configs = sweep + sweep[::-1] + interleaved
+        for config in configs:
+            assert run_bytes(shared, config, scores) == run_bytes(load_corpus(path), config, scores)
+        # the predicted-topic settings grouped different units
+        assert len({tuple(evaluation_units(shared, c)) for c in configs}) >= 3
+
+    def test_grouping_runs_once_per_setting(self, tmp_path, monkeypatch):
+        data, scores = sweep_corpus_data(seed=4)
+        corpus = load_corpus(write_json(tmp_path / "sweep.json", data))
+        calls = []
+
+        def counted(docs, threshold):
+            calls.append(threshold)
+            return group_documents(docs, threshold)
+
+        monkeypatch.setattr(harness, "group_documents", counted)
+        for tau in self.TAUS:
+            run_pipeline(corpus, sweep_config(tau), scores)
+            run_pipeline(corpus, sweep_config(tau, doc_threshold=0.3), scores)
+        assert calls == [0.05, 0.3]
+
+    def test_returned_units_are_fresh_lists(self, toy_corpus):
+        config = event_config("predicted_topic", doc_threshold=0.1)
+        first = evaluation_units(toy_corpus, config)
+        first.clear()
+        assert evaluation_units(toy_corpus, config) == [
+            ("predicted_0", frozenset({"a1", "a2"})),
+            ("predicted_1", frozenset({"b1"})),
+        ]
+
+    def test_corpora_never_share_units(self, tmp_path):
+        config = sweep_config(0.5)
+        datas = [sweep_corpus_data(seed, n_docs=6 + seed)[0] for seed in range(6)]
+        paths = [write_json(tmp_path / f"c{i}.json", d) for i, d in enumerate(datas)]
+        expected = [evaluation_units(load_corpus(p), config) for p in paths]
+        assert len({tuple(e) for e in expected}) == len(expected)
+        # two live corpora, used in turn
+        a, b = load_corpus(paths[0]), load_corpus(paths[1])
+        for _ in range(2):
+            assert evaluation_units(a, config) == expected[0]
+            assert evaluation_units(b, config) == expected[1]
+        # corpora dropped before the next is loaded, so ids may be reused
+        del a, b
+        for path, units in zip(paths, expected):
+            assert evaluation_units(load_corpus(path), config) == units
+
+    def test_replace_starts_with_an_empty_memo(self, toy_corpus, toy_lemma_scores):
+        config = event_config("gold_topic")
+        run_pipeline(toy_corpus, config, toy_lemma_scores)
+        assert toy_corpus._memo
+        docs = dict(toy_corpus.documents)
+        docs["b1"] = replace(docs["b1"], topic_id="T1")
+        moved = replace(toy_corpus, documents=docs)
+        assert moved._memo == {}
+        assert evaluation_units(moved, config) == [("T1", frozenset({"a1", "a2", "b1"}))]
+        assert evaluation_units(toy_corpus, config)[0] == ("T1", frozenset({"a1", "a2"}))
+
+    def test_memo_is_left_out_of_eq_and_repr(self, toy_corpus_file, toy_lemma_scores):
+        used, fresh = load_corpus(toy_corpus_file), load_corpus(toy_corpus_file)
+        for level in ("gold_topic", "corpus"):
+            run_pipeline(used, event_config(level), toy_lemma_scores)
+        assert used._memo and not fresh._memo
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+        assert "_memo" not in repr(used)
