@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,81 +24,151 @@ class ScoreTable:
     Absent pairs fall back to `default`, which is -inf ("never merge")
     unless configured otherwise. Entries must be finite; self-pairs are
     rejected. The table is not mutated after construction.
+
+    Storage holds no object per entry. The n ids are coded by their rank
+    in sorted order; an entry is the key `lo * n + hi` of its two codes
+    lo < hi and its score, in two arrays sorted by key, which is (first
+    id, second id) order. Of entries that name one pair twice, in either
+    order, the later one wins.
     """
 
-    __slots__ = ("_entries", "default", "_coded")
+    __slots__ = ("default", "_codes", "_keys", "_scores")
 
     def __init__(self, entries: Mapping | None = None, default: float = NEVER_MERGE):
-        if math.isnan(default):
-            raise ValueError("default score must not be NaN")
-        self.default = float(default)
-        self._entries: dict[tuple, float] = {}
-        self._coded = None
-        for (a, b), score in (entries or {}).items():
-            self._entries[_pair_key(a, b)] = _checked_score(score, a, b)
+        self._fill(_PairRows((a, b, s) for (a, b), s in (entries or {}).items()), default)
 
     @classmethod
     def from_pairs(
         cls, triples: Iterable[tuple], default: float = NEVER_MERGE
     ) -> "ScoreTable":
         """Build from (m1, m2, score) triples; later duplicates overwrite."""
-        table = cls(default=default)
-        for a, b, score in triples:
-            table._entries[_pair_key(a, b)] = _checked_score(score, a, b)
+        return cls._from_rows(_PairRows(triples), default)
+
+    @classmethod
+    def _from_rows(cls, rows: "_PairRows", default: float) -> "ScoreTable":
+        table = cls.__new__(cls)
+        table._fill(rows, default)
         return table
 
+    def _fill(self, rows: "_PairRows", default: float) -> None:
+        if math.isnan(default):
+            raise ValueError("default score must not be NaN")
+        self.default = float(default)
+        self._codes, self._keys, self._scores = rows.coded()
+
     def get(self, a, b) -> float:
-        return self._entries.get(_pair_key(a, b), self.default)
+        if a == b:
+            raise _self_pair(a)
+        i, j = sorted((self._codes.get(a, -1), self._codes.get(b, -1)))
+        if i < 0:
+            return self.default
+        key = i * len(self._codes) + j
+        k = int(self._keys.searchsorted(key))
+        if k < len(self._keys) and self._keys[k] == key:
+            return float(self._scores[k])
+        return self.default
 
-    def has(self, a, b) -> bool:
-        return _pair_key(a, b) in self._entries
-
-    def items(self):
-        return self._entries.items()
+    def items(self) -> Iterator[tuple[tuple, float]]:
+        """((a, b), score) per entry with a < b, sorted by (a, b)."""
+        ids = list(self._codes)
+        lo, hi = np.divmod(self._keys, len(ids))
+        return (
+            ((ids[i], ids[j]), score)
+            for i, j, score in zip(lo.tolist(), hi.tolist(), self._scores.tolist())
+        )
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._keys)
 
     def matrix(self, ids: Sequence) -> np.ndarray:
         """Scores of all pairs of `ids` as an (n, n) float64 array, with the
-        default for absent pairs and on the diagonal. O(len(self)) array
-        work per call, after a one-time coding of the entries."""
-        codes, left, right, values = self._arrays()
-        rank = np.full(len(codes), -1)  # code -> position in ids, -1 if absent
+        default for absent pairs and on the diagonal. Ids the table does
+        not hold are allowed. Per call, O(len(ids)) lookups, then array
+        work on the entries whose smaller id is in `ids` only."""
+        codes, n = self._codes, len(self._codes)
+        rank = np.full(n, -1)  # code -> position in ids, -1 if absent
         for k, x in enumerate(ids):
             if x in codes:
                 rank[codes[x]] = k
-        i, j = rank[left], rank[right]
-        keep = (i >= 0) & (j >= 0)
-        i, j, v = i[keep], j[keep], values[keep]
+        # the entries whose smaller id has code c are the keys [c*n, c*n + n)
+        held = np.flatnonzero(rank >= 0)
+        start = self._keys.searchsorted(held * n)
+        count = self._keys.searchsorted(held * n + n) - start
+        # the runs start[c], ..., start[c] + count[c] - 1, concatenated
+        rows = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        lo = np.repeat(held, count)
+        i, j = rank[lo], rank[self._keys[rows] - lo * n]
+        keep = j >= 0
+        i, j, v = i[keep], j[keep], self._scores[rows[keep]]
         out = np.full((len(ids), len(ids)), self.default)
         out[i, j] = v
         out[j, i] = v
         return out
 
-    def _arrays(self) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
-        """The entries as (id -> code, first-id codes, second-id codes,
-        scores), built on first use."""
-        if self._coded is None:
-            codes: dict = {}
-            left = [codes.setdefault(a, len(codes)) for a, _ in self._entries]
-            right = [codes.setdefault(b, len(codes)) for _, b in self._entries]
-            values = np.fromiter(self._entries.values(), np.float64, len(self._entries))
-            self._coded = (codes, np.array(left, np.int64), np.array(right, np.int64), values)
-        return self._coded
+
+class _PairRows:
+    """(m1, m2, score) rows coded as they arrive, into flat arrays: ids get
+    codes in first-seen order and scores become floats, with no object kept
+    per row. Bad rows raise only in `coded`, which reports the first one in
+    arrival order."""
+
+    __slots__ = ("codes", "left", "right", "scores", "failed")
+
+    def __init__(self, triples: Iterable[tuple] = ()):
+        self.codes: dict = {}
+        self.left, self.right, self.scores = array("q"), array("q"), array("d")
+        self.failed: tuple[int, Exception] | None = None  # first float() failure
+        for a, b, score in triples:
+            self.add(a, b, score)
+
+    def add(self, a, b, score) -> None:
+        codes = self.codes
+        self.left.append(codes.setdefault(a, len(codes)))
+        self.right.append(codes.setdefault(b, len(codes)))
+        try:
+            score = float(score)
+        except (TypeError, ValueError, OverflowError) as e:
+            if self.failed is None:
+                self.failed = (len(self.scores), e)
+            score = math.nan
+        self.scores.append(score)
+
+    def coded(self) -> tuple[dict, np.ndarray, np.ndarray]:
+        """({id: rank} in sorted id order, keys, scores): one entry per
+        pair, its last row winning, in key order. The first row whose score
+        is not a finite float, or that pairs an id with itself, raises; a
+        row's score is checked before its ids, as the dict-backed table
+        did."""
+        left = np.frombuffer(self.left, np.int64)
+        right = np.frombuffer(self.right, np.int64)
+        scores = np.frombuffer(self.scores, np.float64)
+        bad = np.flatnonzero((left == right) | ~np.isfinite(scores))
+        if bad.size:
+            self._raise(int(bad[0]))
+        seen = list(self.codes)
+        order = sorted(range(len(seen)), key=seen.__getitem__)
+        rank = np.empty(len(seen), np.int64)
+        rank[order] = np.arange(len(seen))
+        left, right = rank[left], rank[right]
+        keys = np.minimum(left, right) * len(seen) + np.maximum(left, right)
+        by_key = np.argsort(keys, kind="stable")
+        keys = keys[by_key]
+        last = np.ones(len(keys), bool)  # each key's last row
+        last[:-1] = keys[1:] != keys[:-1]
+        return {seen[c]: r for r, c in enumerate(order)}, keys[last], scores[by_key[last]]
+
+    def _raise(self, k: int):
+        seen = list(self.codes)
+        a, b = seen[self.left[k]], seen[self.right[k]]
+        if self.failed is not None and self.failed[0] == k:
+            raise self.failed[1]
+        if not math.isfinite(self.scores[k]):
+            raise ValueError(f"score for ({a!r}, {b!r}) must be finite, got {self.scores[k]!r}")
+        raise _self_pair(a)
 
 
-def _pair_key(a, b) -> tuple:
-    if a == b:
-        raise ValueError(f"self-pair ({a!r}, {a!r}) is not scorable")
-    return (a, b) if a <= b else (b, a)
-
-
-def _checked_score(score, a, b) -> float:
-    score = float(score)
-    if not math.isfinite(score):
-        raise ValueError(f"score for ({a!r}, {b!r}) must be finite, got {score!r}")
-    return score
+def _self_pair(a) -> ValueError:
+    return ValueError(f"self-pair ({a!r}, {a!r}) is not scorable")
 
 
 @dataclass(frozen=True)
@@ -212,8 +283,10 @@ def agglomerative_cluster_trace(
     (n, n) score array over the sorted mention ids. Every accepted merge in
     the log had average score >= merge_threshold at merge time.
     """
-    pair_score = scores.get if isinstance(scores, ScoreTable) else scores
-    final, merges = average_link(_mention_ids(mentions), pair_score, merge_threshold)
+    ids = _mention_ids(mentions)
+    if isinstance(scores, ScoreTable):
+        scores = scores.matrix(sorted(ids))
+    final, merges = average_link(ids, scores, merge_threshold)
     return Partition(final), merges
 
 
@@ -252,9 +325,15 @@ def generate_training_pairs(
 
 def read_score_file(path) -> ScoreTable:
     """Read a JSONL score file: rows {"m1", "m2", "score"}, optionally
-    preceded by a {"default": real} header."""
+    preceded by a {"default": real} header.
+
+    Rows are coded into flat arrays as they stream. A row with a missing
+    or mistyped field raises as it is read; a self-pair or a score that is
+    not a finite float is reported after the last row, for the first such
+    row in the file."""
     default = NEVER_MERGE
-    triples = []
+    rows = _PairRows()
+    add = rows.add
     for lineno, obj in read_jsonl(path):
         if "default" in obj and "m1" not in obj:
             default = obj["default"]
@@ -270,16 +349,16 @@ def read_score_file(path) -> ScoreTable:
         # exact types reject bool; cheaper than isinstance on large files
         if type(score) is not float and type(score) is not int:
             raise SchemaError(f"{path}:{lineno}: score must be a number")
-        triples.append((m1, m2, score))
+        add(m1, m2, score)
     try:
-        return ScoreTable.from_pairs(triples, default=float(default))
+        return ScoreTable._from_rows(rows, float(default))
     except (ValueError, OverflowError) as e:
         raise SchemaError(f"{path}: {e}") from e
 
 
 def write_score_file(path, table: ScoreTable) -> None:
     header = [] if table.default == NEVER_MERGE else [{"default": table.default}]
-    rows = ({"m1": a, "m2": b, "score": score} for (a, b), score in sorted(table.items()))
+    rows = ({"m1": a, "m2": b, "score": score} for (a, b), score in table.items())
     write_jsonl(path, chain(header, rows))
 
 

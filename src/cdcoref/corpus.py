@@ -248,19 +248,34 @@ def read_json(path, parse):
         raise type(e)(f"{path}: {e}") from e
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank line of JSONL file
     `path`, streaming. Undecodable lines and lines that are not objects
-    raise SchemaError prefixed with `path:line`."""
+    raise SchemaError prefixed with `path:line`.
+
+    A line that is one JSON value followed only by JSON whitespace is
+    decoded by the scanner `json.loads` uses, one Python frame less per
+    line; every other line takes `json.loads`, so results and messages are
+    those of `json.loads` on each line.
+    """
     for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}:{lineno}: invalid JSON: {e.msg}") from e
-        except (ValueError, RecursionError) as e:
-            raise _undecodable(f"{path}:{lineno}", e) from e
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        # not str.isspace: "\x0c" after a value is "Extra data" to json.loads
+        if end < 0 or line[end:].strip(" \t\n\r"):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise SchemaError(f"{path}:{lineno}: invalid JSON: {e.msg}") from e
+            except (ValueError, RecursionError) as e:
+                raise _undecodable(f"{path}:{lineno}", e) from e
         if not isinstance(obj, dict):
             raise SchemaError(f"{path}:{lineno}: expected an object")
         yield lineno, obj

@@ -9,7 +9,9 @@ exact-trace oracle for the array engine in `cdcoref.linkage`. Likewise
 as the bit-exact oracle for the overlap table in `cdcoref.metrics`, and
 `reference_tfidf_vectors` and `callable_cluster_documents` are the former
 n-gram counting and per-pair `cosine` clustering, the oracles for the
-one-pass counting and the similarity array in `cdcoref.topics`.
+one-pass counting and the similarity array in `cdcoref.topics`, and
+`DictScoreTable` is the former dict-of-pairs score table, the oracle for
+the array-backed `cdcoref.ScoreTable`.
 """
 
 from __future__ import annotations
@@ -70,6 +72,58 @@ def dyadic_score_table(rng, ids) -> ScoreTable:
     for a, b in itertools.combinations(sorted(ids), 2):
         entries[(a, b)] = rng.randrange(-16, 33) / 16
     return ScoreTable(entries)
+
+
+class DictScoreTable:
+    """The former `ScoreTable`: one dict entry per sorted id pair, each
+    row checked as it is added, so the first bad row in order raises. A
+    row's score is checked before its ids, as the right side of the
+    assignment is evaluated first."""
+
+    def __init__(self, entries=None, default: float = float("-inf")):
+        if math.isnan(default):
+            raise ValueError("default score must not be NaN")
+        self.default = float(default)
+        self._entries: dict[tuple, float] = {}
+        for (a, b), score in (entries or {}).items():
+            self._entries[_pair_key(a, b)] = _checked_score(score, a, b)
+
+    @classmethod
+    def from_pairs(cls, triples, default: float = float("-inf")) -> "DictScoreTable":
+        table = cls(default=default)
+        for a, b, score in triples:
+            table._entries[_pair_key(a, b)] = _checked_score(score, a, b)
+        return table
+
+    def get(self, a, b) -> float:
+        return self._entries.get(_pair_key(a, b), self.default)
+
+    def items(self):
+        return self._entries.items()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def matrix(self, ids: Sequence) -> np.ndarray:
+        out = np.full((len(ids), len(ids)), self.default)
+        position = {x: k for k, x in enumerate(ids)}  # a repeated id: its last position
+        for (a, b), score in self._entries.items():
+            if a in position and b in position:
+                out[position[a], position[b]] = out[position[b], position[a]] = score
+        return out
+
+
+def _pair_key(a, b) -> tuple:
+    if a == b:
+        raise ValueError(f"self-pair ({a!r}, {a!r}) is not scorable")
+    return (a, b) if a <= b else (b, a)
+
+
+def _checked_score(score, a, b) -> float:
+    score = float(score)
+    if not math.isfinite(score):
+        raise ValueError(f"score for ({a!r}, {b!r}) must be finite, got {score!r}")
+    return score
 
 
 def exhaustive_alignment_total(matrix) -> float:
