@@ -138,7 +138,8 @@ class _PairRows:
         pair, its last row winning, in key order. The first row whose score
         is not a finite float, or that pairs an id with itself, raises; a
         row's score is checked before its ids, as the dict-backed table
-        did."""
+        did. Row-length arrays are reused in place or dropped once used, so
+        at most three are alive at once."""
         left = np.frombuffer(self.left, np.int64)
         right = np.frombuffer(self.right, np.int64)
         scores = np.frombuffer(self.scores, np.float64)
@@ -150,12 +151,17 @@ class _PairRows:
         rank = np.empty(len(seen), np.int64)
         rank[order] = np.arange(len(seen))
         left, right = rank[left], rank[right]
-        keys = np.minimum(left, right) * len(seen) + np.maximum(left, right)
+        keys = np.minimum(left, right)
+        keys *= len(seen)
+        keys += np.maximum(left, right, out=right)
+        del left, right
         by_key = np.argsort(keys, kind="stable")
         keys = keys[by_key]
         last = np.ones(len(keys), bool)  # each key's last row
         last[:-1] = keys[1:] != keys[:-1]
-        return {seen[c]: r for r, c in enumerate(order)}, keys[last], scores[by_key[last]]
+        keys = keys[last]
+        by_key = by_key[last]
+        return {seen[c]: r for r, c in enumerate(order)}, keys, scores[by_key]
 
     def _raise(self, k: int):
         seen = list(self.codes)

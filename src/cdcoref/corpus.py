@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 
 MENTION_TYPES = ("event", "entity")
@@ -77,6 +79,21 @@ class Mention:
         return self.end_token - self.start_token + 1
 
 
+def _canonical(clusters: Iterable[Iterable]) -> list[frozenset]:
+    """`clusters` as frozensets in `Partition`'s canonical order, checked to
+    be non-empty and disjoint; the error for a shared member names the
+    smallest one, whatever the hash seed or the order of the input."""
+    sets = [frozenset(c) for c in clusters]
+    if not all(sets):
+        raise InvariantError("partition contains an empty cluster")
+    if sum(map(len, sets)) != len(frozenset().union(*sets)):
+        shared = min(m for m, n in Counter(chain.from_iterable(sets)).items() if n > 1)
+        raise InvariantError(f"mention {shared!r} appears in more than one cluster")
+    # disjoint sets sort by their member lists as by their smallest members
+    sets.sort(key=min)
+    return sets
+
+
 class Partition:
     """Disjoint, non-empty clusters over mention identifiers.
 
@@ -87,23 +104,8 @@ class Partition:
     __slots__ = ("clusters", "mention_index")
 
     def __init__(self, clusters: Iterable[Iterable] = ()):
-        canon = []
-        for raw in clusters:
-            members = frozenset(raw)
-            if not members:
-                raise InvariantError("partition contains an empty cluster")
-            canon.append(members)
-        canon.sort(key=lambda c: sorted(c))
-        index: dict = {}
-        for i, cluster in enumerate(canon):
-            for m in cluster:
-                if m in index:
-                    raise InvariantError(
-                        f"mention {m!r} appears in more than one cluster"
-                    )
-                index[m] = i
-        self.clusters: tuple[frozenset, ...] = tuple(canon)
-        self.mention_index: dict = index
+        self.clusters: tuple[frozenset, ...] = tuple(_canonical(clusters))
+        self.mention_index: dict = {m: i for i, c in enumerate(self.clusters) for m in c}
 
     def mentions(self) -> frozenset:
         return frozenset(self.mention_index)
@@ -389,6 +391,23 @@ def _mention_table(rows: list) -> dict[str, Mention]:
     return table
 
 
+def _span_table(rows: list) -> dict[str, tuple[str, int, int]]:
+    """`_mention_table(rows)` as spans by id. When every row has its own id
+    and exactly the field types checked here, no `Mention` is built; else
+    `_mention_table` runs, so every check and message is the same."""
+    try:
+        table = {o["mention_id"]: (o["doc_id"], o["start_token"], o["end_token"]) for o in rows}
+        plain = len(table) == len(rows) and all(
+            type(o["mention_id"]) is type(o["doc_id"]) is type(o["type"]) is str
+            and type(o["start_token"]) is type(o["end_token"]) is int
+            and type(o.get("head_lemma", "")) is str and type(o.get("score", 0.0)) is float
+            for o in rows
+        )
+    except (KeyError, TypeError):
+        plain = False
+    return table if plain else {i: m.span() for i, m in _mention_table(rows).items()}
+
+
 def _clusters(data: Mapping, known: Mapping | None) -> list[list[str]]:
     """The `clusters` field: lists of string mention ids, each of them a key
     of `known` unless `known` is None."""
@@ -472,16 +491,18 @@ def save_corpus(corpus: Corpus, path) -> None:
     })
 
 
-def _partition_from_json(data: Mapping) -> tuple[Partition, list[Mention] | None]:
+def _partition_from_json(data: Mapping, table=_mention_table) -> tuple[list, dict | None]:
+    """The canonical clusters of a partition file, and its mention table as
+    `table` reads it (None when the file has none)."""
     rows = _require(data, "mentions", list, "", None)
-    mentions = None if rows is None else _mention_table(rows)
-    partition = Partition(_clusters(data, mentions))
-    return partition, None if mentions is None else list(mentions.values())
+    mentions = None if rows is None else table(rows)
+    return _canonical(_clusters(data, mentions)), mentions
 
 
 def load_partition_file(path) -> tuple[Partition, list[Mention] | None]:
     """Read {"mentions"?: [...], "clusters": [[mention_id, ...], ...]}."""
-    return read_json(path, _partition_from_json)
+    clusters, mentions = read_json(path, _partition_from_json)
+    return Partition(clusters), None if mentions is None else list(mentions.values())
 
 
 def save_partition_file(

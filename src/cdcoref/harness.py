@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,14 +43,17 @@ from .corpus import (
     Mention,
     Partition,
     SchemaError,
+    _canonical,
+    _partition_from_json,
     _require,
+    _span_table,
     load_candidates,
     load_corpus,
     load_partition_file,
     read_json,
     save_partition_file,
 )
-from .metrics import SINGLETON_POLICIES, MetricReport, evaluate
+from .metrics import SINGLETON_POLICIES, MetricReport, _evaluate, evaluate
 # cluster_documents and tfidf_vectors stay bound here unused, as
 # perfbench/spans.py wraps them by these names
 from .topics import cluster_documents, group_documents, tfidf_vectors  # noqa: F401
@@ -186,8 +190,13 @@ def partition_on_spans(
     missing = partition.mentions() - spans.keys()
     if missing:
         raise SchemaError(f"partition references unknown mentions: {sorted(missing)[:5]}")
+    return _on_spans(partition.clusters, spans, Partition)
+
+
+def _on_spans(clusters, spans: Mapping, build=_canonical):
+    """`build` on the clusters of ids as clusters of their spans."""
     try:
-        return Partition({spans[m] for m in c} for c in partition.clusters)
+        return build({spans[m] for m in c} for c in clusters)
     except InvariantError as e:
         raise InvariantError(f"span identity is ambiguous across clusters: {e}") from e
 
@@ -305,14 +314,16 @@ def run_evaluation(key_path, response_path, singleton_policy: str) -> MetricRepo
     """Score two partition files against each other.
 
     When both files carry mention tables, matching happens on span identity;
-    otherwise raw mention ids are compared directly.
+    otherwise raw mention ids are compared directly. Reports and errors are
+    those of `evaluate` on what `load_partition_file` and `partition_on_spans`
+    return, but no `Mention` or `Partition` is built.
     """
-    key, key_mentions = load_partition_file(key_path)
-    response, response_mentions = load_partition_file(response_path)
-    if key_mentions is not None and response_mentions is not None:
-        key = partition_on_spans(key, key_mentions)
-        response = partition_on_spans(response, response_mentions)
-    return evaluate(key, response, singleton_policy)
+    parse = partial(_partition_from_json, table=_span_table)
+    key, key_spans = read_json(key_path, parse)
+    response, response_spans = read_json(response_path, parse)
+    if key_spans is not None and response_spans is not None:
+        key, response = _on_spans(key, key_spans), _on_spans(response, response_spans)
+    return _evaluate(key, response, singleton_policy)
 
 
 def _config_from_json(raw: Mapping, base: str) -> tuple[EvalConfig, dict]:

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .corpus import Mention, Partition, filter_singletons
+# filter_singletons is bound for perfbench/spans.py, which wraps it here
+from .corpus import Mention, Partition, filter_singletons  # noqa: F401
 
 SINGLETON_POLICIES = ("included", "omitted")
 
@@ -62,22 +63,42 @@ def optimal_alignment(similarity) -> list[tuple[int, int]]:
     return list(zip(rows.tolist(), cols.tolist()))
 
 
+def _assignment(shape, rows, cols, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, values) of the pairs, by row, that
+    `linear_sum_assignment(sim, maximize=True)` matches in the `shape` matrix
+    `sim` holding `values` at (`rows`, `cols`) and 0 elsewhere. The array
+    that call solves, -sim transposed when `sim` has more rows than
+    columns, is built here with no `sim`, and scipy copies nothing."""
+    tall = shape[0] > shape[1]
+    if tall:
+        shape, rows, cols = shape[::-1], cols, rows
+    cost = np.full(shape, -0.0)
+    cost[rows, cols] = -values
+    rows, cols = linear_sum_assignment(cost)
+    matched = -cost[rows, cols]
+    if tall:
+        order = np.argsort(cols)
+        rows, cols, matched = cols[order], rows[order], matched[order]
+    return rows, cols, matched
+
+
 class _Overlap:
     """Key x response overlap counts, kept as the nonzero cells only.
 
-    Built in one O(mentions) pass over the key's `mention_index`: cell
-    (`key_of[c]`, `response_of[c]`) holds `count[c]` shared mentions, cells
-    sorted row-major. A row's twinless mentions are its size minus its
-    row sum. Every metric reads both of its sides from this one table.
+    Built from two lists of disjoint clusters in `Partition`'s canonical
+    order, in one O(mentions) pass: cell (`key_of[c]`, `response_of[c]`)
+    holds `count[c]` shared mentions, cells sorted row-major. A row's
+    twinless mentions are its size minus its row sum. Every metric reads
+    both of its sides from this one table.
     """
 
     __slots__ = ("key_sizes", "response_sizes", "key_of", "response_of", "count")
 
-    def __init__(self, key: Partition, response: Partition):
-        width = max(len(response.clusters), 1)
-        index = response.mention_index
+    def __init__(self, key: Sequence[frozenset], response: Sequence[frozenset]):
+        width = max(len(response), 1)
+        index = {m: j for j, cluster in enumerate(response) for m in cluster}
         codes = np.fromiter(
-            (i * width + index[m] for m, i in key.mention_index.items() if m in index),
+            (i * width + index[m] for i, cluster in enumerate(key) for m in cluster if m in index),
             np.int64,
         )
         cells, self.count = np.unique(codes, return_counts=True)
@@ -91,8 +112,8 @@ class _Overlap:
         yield self.response_of, self.key_of, self.count, self.response_sizes, self.key_sizes
 
 
-def _sizes(partition: Partition) -> np.ndarray:
-    return np.fromiter(map(len, partition.clusters), np.int64, len(partition.clusters))
+def _sizes(clusters: Sequence[frozenset]) -> np.ndarray:
+    return np.fromiter(map(len, clusters), np.int64, len(clusters))
 
 
 def _row_sums(rows, values, sizes) -> np.ndarray:
@@ -129,12 +150,11 @@ def _ceaf_e(table: _Overlap) -> PRF:
     n_key, n_response = len(table.key_sizes), len(table.response_sizes)
     if not n_key or not n_response:
         return PRF.from_counts(0, 0, 0, 0)
-    sim = np.zeros((n_key, n_response))
-    sim[table.key_of, table.response_of] = 2.0 * table.count / (
+    sim = 2.0 * table.count / (
         table.key_sizes[table.key_of] + table.response_sizes[table.response_of]
     )
-    rows, cols = np.array(optimal_alignment(sim)).T
-    total = _ordered_sum(sim[rows, cols])
+    _, _, matched = _assignment((n_key, n_response), table.key_of, table.response_of, sim)
+    total = _ordered_sum(matched)
     return PRF.from_counts(total, n_key, total, n_response)
 
 
@@ -159,7 +179,7 @@ def muc(key: Partition, response: Partition) -> PRF:
     Singleton clusters carry no links, so they contribute nothing to either
     side; the score is invariant under singleton filtering.
     """
-    return _muc(_Overlap(key, response))
+    return _muc(_Overlap(key.clusters, response.clusters))
 
 
 def b_cubed(key: Partition, response: Partition) -> PRF:
@@ -168,7 +188,7 @@ def b_cubed(key: Partition, response: Partition) -> PRF:
     Recall averages |k intersect r| / |k| over key mentions; precision is the
     mirror image. A mention absent from the other side contributes 0.
     """
-    return _b_cubed(_Overlap(key, response))
+    return _b_cubed(_Overlap(key.clusters, response.clusters))
 
 
 def ceaf_e(key: Partition, response: Partition) -> PRF:
@@ -179,12 +199,12 @@ def ceaf_e(key: Partition, response: Partition) -> PRF:
     cluster counts. Empty key or response yields zeros.
 
     The similarities come from the overlap table, built in one O(mentions)
-    pass, and are scattered into one dense K x R float64 matrix (K key and
-    R response clusters); one `optimal_alignment` call on it is nearly all
-    of the cost. The matched similarities are added one at a time in row
-    order.
+    pass, and scattered, negated, into the one dense float64 array that
+    scipy's maximizing assignment on the K x R similarity matrix (K key and
+    R response clusters) solves; that solve is nearly all of the cost. The
+    matched similarities are added one at a time in key-row order.
     """
-    return _ceaf_e(_Overlap(key, response))
+    return _ceaf_e(_Overlap(key.clusters, response.clusters))
 
 
 def lea(key: Partition, response: Partition) -> PRF:
@@ -194,7 +214,7 @@ def lea(key: Partition, response: Partition) -> PRF:
     partition; singleton clusters score via a self-link that counts only
     when the mention is reproduced as a singleton.
     """
-    return _lea(_Overlap(key, response))
+    return _lea(_Overlap(key.clusters, response.clusters))
 
 
 def conll_f1(muc_f1: float, b_cubed_f1: float, ceaf_e_f1: float) -> float:
@@ -279,19 +299,23 @@ def evaluate(
     partitions before any metric sees them; `"included"` scores them as-is.
 
     All four metrics read one overlap table, built in O(mentions) from the
-    two partitions' `mention_index` maps; past that, the cost is the one
-    dense K x R assignment of CEAFe. Per-cluster terms are added strictly
-    in cluster order, so every score is bit-identical to adding them one
-    cluster at a time.
+    two partitions' clusters, as `cdcoref evaluate` builds it from partition
+    files; past that, the cost is the one dense K x R assignment of CEAFe.
+    Per-cluster terms are added strictly in cluster order, so every score is
+    bit-identical to adding them one cluster at a time.
     """
+    return _evaluate(key.clusters, response.clusters, singleton_policy)
+
+
+def _evaluate(key, response, singleton_policy: str) -> MetricReport:
+    """`evaluate` on two lists of disjoint clusters in canonical order."""
     if singleton_policy not in SINGLETON_POLICIES:
         raise ValueError(
             f"unknown singleton policy {singleton_policy!r}; "
             f"expected one of {SINGLETON_POLICIES}"
         )
     if singleton_policy == "omitted":
-        key = filter_singletons(key)
-        response = filter_singletons(response)
+        key, response = [c for c in key if len(c) > 1], [c for c in response if len(c) > 1]
     table = _Overlap(key, response)
     m, b, c = _muc(table), _b_cubed(table), _ceaf_e(table)
     return MetricReport(

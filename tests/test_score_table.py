@@ -3,6 +3,7 @@ decode contract, and the memory and bytes of score files."""
 
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdcoref import SchemaError, ScoreTable, read_score_file, write_score_file
+from cdcoref.clustering import _PairRows
 from cdcoref.corpus import read_jsonl
 from helpers import DictScoreTable
 
@@ -194,6 +196,26 @@ def test_score_file_holds_at_most_64_bytes_per_row(tmp_path):
         tracemalloc.stop()
     assert len(table) == 20000
     assert held <= 64 * len(table), f"{held / len(table):.1f} B/row"
+
+
+def test_coding_rows_peaks_under_30_bytes_per_row():
+    # ranking, keying, sorting and de-duplicating the rows holds at most
+    # three row-length int64 arrays (24 B/row) and a mask at once; every
+    # pair is distinct, so the finished table is as large as it gets
+    rng = random.Random(5)
+    ids = [f"m{i}" for i in range(450)]
+    pairs = [(a, b) if rng.random() < 0.5 else (b, a)
+             for k, a in enumerate(ids) for b in ids[k + 1:]]
+    rng.shuffle(pairs)
+    rows = _PairRows((a, b, k % 97 / 8) for k, (a, b) in enumerate(pairs))
+    tracemalloc.start()
+    try:
+        _, keys, _ = rows.coded()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == len(pairs) == 101025
+    assert peak <= 30 * len(pairs), f"{peak / len(pairs):.1f} B/row"
 
 
 def test_written_bytes_are_pinned(tmp_path):
