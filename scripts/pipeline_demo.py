@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from cdcoref import (
     EvalConfig,
+    ScoreTable,
     evaluation_units,
-    lemma_score_table,
     load_corpus,
     run_pipeline,
     save_partition_file,
@@ -78,6 +79,13 @@ CORPUS = {
 UNIT_LEVELS = ("gold_subtopic", "gold_topic", "predicted_topic", "corpus")
 
 
+def lemma_scores(mentions) -> ScoreTable:
+    """1.0 for every pair of mentions with the same case-folded head lemma,
+    0.0 for every other pair."""
+    lemma = {m.mention_id: m.head_lemma.casefold() for m in mentions}
+    return ScoreTable({(a, b): float(lemma[a] == lemma[b]) for a, b in combinations(lemma, 2)})
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=Path("demo_run"),
@@ -93,7 +101,7 @@ def main(argv=None) -> int:
     corpus_path.write_text(json.dumps(CORPUS, indent=2) + "\n", encoding="utf-8")
     corpus = load_corpus(corpus_path)
 
-    scores = lemma_score_table(corpus.gold_mentions)
+    scores = lemma_scores(corpus.gold_mentions)
     write_score_file(args.out / "scores.jsonl", scores)
 
     policy = {"include": "included", "omit": "omitted"}[args.singletons]

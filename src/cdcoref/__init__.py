@@ -1,11 +1,6 @@
 """Cross-document coreference evaluation and clustering toolkit."""
 
-from .baselines import (
-    head_lemma_baseline,
-    lemma_pair_scorer,
-    lemma_score_table,
-    singleton_baseline,
-)
+from .baselines import head_lemma_baseline, singleton_baseline
 from .clustering import (
     ClusteringConfig,
     ScoreTable,
@@ -35,7 +30,6 @@ from .corpus import (
     Token,
     filter_singletons,
     load_corpus,
-    restrict_to_unit,
     save_corpus,
 )
 from .harness import (

@@ -6,7 +6,6 @@ from collections import defaultdict
 from typing import Sequence
 
 from .corpus import Mention, Partition, SchemaError
-from .clustering import ScoreTable
 
 
 def singleton_baseline(mentions: Sequence[Mention]) -> Partition:
@@ -23,23 +22,3 @@ def head_lemma_baseline(mentions: Sequence[Mention]) -> Partition:
         groups[m.head_lemma.casefold()].add(m.mention_id)
     return Partition(groups.values())
 
-
-def lemma_pair_scorer(a: Mention, b: Mention) -> float:
-    """1.0 for an exact case-folded head-lemma match, else 0.0.
-
-    Feeding these scores to average-link clustering with a threshold in
-    (0, 1] reproduces `head_lemma_baseline` exactly.
-    """
-    for m in (a, b):
-        if m.head_lemma is None:
-            raise SchemaError(f"mention {m.mention_id!r} has no head lemma")
-    return 1.0 if a.head_lemma.casefold() == b.head_lemma.casefold() else 0.0
-
-
-def lemma_score_table(mentions: Sequence[Mention]) -> ScoreTable:
-    """Materialize `lemma_pair_scorer` over all mention pairs."""
-    entries = {}
-    for i, a in enumerate(mentions):
-        for b in mentions[i + 1 :]:
-            entries[a.mention_id, b.mention_id] = lemma_pair_scorer(a, b)
-    return ScoreTable(entries)

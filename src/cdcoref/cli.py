@@ -11,19 +11,12 @@ import argparse
 import sys
 
 from .baselines import head_lemma_baseline, singleton_baseline
-from .clustering import (
-    ClusteringConfig,
-    generate_training_pairs,
-    read_mention_scores,
-    read_score_file,
-    write_training_pairs,
-)
+from .clustering import generate_training_pairs, write_training_pairs
 from .corpus import InvariantError, CorpusError, load_corpus
 from .harness import (
-    EvalConfig,
-    build_response,
-    load_candidates,
-    response_members,
+    MENTION_TYPE_CHOICES,
+    _config_from_json,
+    _response_from_paths,
     run_evaluation,
     run_pipeline_from_config,
     save_partition_file,
@@ -44,31 +37,28 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    corpus = load_corpus(args.corpus)
-    clustering = ClusteringConfig(
-        merge_threshold=args.tau,
-        prune_ratio=args.prune_lambda,
-        gold_mention_mode=args.gold_mentions,
-        max_span_width=args.max_span_width,
-    )
-    config = EvalConfig(
-        unit_level="corpus",
-        mention_source="gold" if args.gold_mentions else "predicted",
-        mention_type=args.type,
-        clustering=clustering,
-        apply_sigmoid=args.sigmoid,
-    )
-    pair_scores = read_score_file(args.scores)
-    mention_scores = (
-        read_mention_scores(args.mention_scores) if args.mention_scores else None
-    )
-    candidates = load_candidates(args.candidates) if args.candidates else None
-    response, mentions = build_response(
-        corpus, config, pair_scores, mention_scores, candidates
-    )
-    # a response file carries the mention table; stdout gets the clusters only
-    members = response_members(response, mentions) if args.output else None
-    save_partition_file(args.output, response, members)
+    # the pipeline's config path at corpus level, so the two cannot drift
+    raw = {
+        "corpus": args.corpus,
+        "scores": args.scores,
+        "mention_scores": args.mention_scores,
+        "candidates": args.candidates,
+        "output": args.output,
+        "unit_level": "corpus",
+        "mention_source": "gold" if args.gold_mentions else "predicted",
+        "mention_type": args.type,
+        "clustering": {
+            "tau": args.tau,
+            "lambda": args.prune_lambda,
+            "max_span_width": args.max_span_width,
+        },
+        "sigmoid": args.sigmoid,
+    }
+    config, paths = _config_from_json(raw, "")
+    _, response, _ = _response_from_paths(config, paths)
+    if not paths["output"]:
+        # stdout gets the clusters only; a response file carries the mentions
+        save_partition_file(None, response)
     return 0
 
 
@@ -133,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of tokens kept as candidate spans",
     )
     p.add_argument("--gold-mentions", action="store_true")
-    p.add_argument("--type", choices=("event", "entity", "all"), default="all")
+    p.add_argument("--type", choices=MENTION_TYPE_CHOICES, default="all")
     p.add_argument("--candidates", help="candidate mentions JSON (predicted mode)")
     p.add_argument("--max-span-width", type=int, default=15)
     p.add_argument("--sigmoid", action="store_true", help="logistic transform on scores")
@@ -149,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="deterministic baseline partitions")
     p.add_argument("--corpus", required=True)
     p.add_argument("--kind", choices=("singleton", "head-lemma"), required=True)
-    p.add_argument("--type", choices=("event", "entity", "all"), default="all")
+    p.add_argument("--type", choices=MENTION_TYPE_CHOICES, default="all")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_baseline)
 
@@ -157,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--ratio", type=int, default=20, help="negatives per positive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--type", choices=("event", "entity", "all"), default="all")
+    p.add_argument("--type", choices=MENTION_TYPE_CHOICES, default="all")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_export_pairs)
 

@@ -38,13 +38,6 @@ class ScoreTable:
         self._fill(_PairRows((a, b, s) for (a, b), s in (entries or {}).items()), default)
 
     @classmethod
-    def from_pairs(
-        cls, triples: Iterable[tuple], default: float = NEVER_MERGE
-    ) -> "ScoreTable":
-        """Build from (m1, m2, score) triples; later duplicates overwrite."""
-        return cls._from_rows(_PairRows(triples), default)
-
-    @classmethod
     def _from_rows(cls, rows: "_PairRows", default: float) -> "ScoreTable":
         table = cls.__new__(cls)
         table._fill(rows, default)
@@ -276,23 +269,16 @@ def combine_pair_score(
     return mention_score_i + mention_score_j + pair_score
 
 
-def _mention_ids(mentions: Sequence) -> list[str]:
-    return [m.mention_id if isinstance(m, Mention) else m for m in mentions]
-
-
 def agglomerative_cluster_trace(
-    mentions: Sequence, scores: ScoreTable | np.ndarray, merge_threshold: float
+    mentions: Sequence[Mention], scores: np.ndarray, merge_threshold: float
 ) -> tuple[Partition, list[Merge]]:
     """Average-link clustering of mentions; also returns the merge log.
 
-    Accepts Mention objects or bare mention ids, and a ScoreTable or an
-    (n, n) score array over the sorted mention ids. Every accepted merge in
-    the log had average score >= merge_threshold at merge time.
+    `scores` is an (n, n) score array over the sorted mention ids. Every
+    accepted merge in the log had average score >= merge_threshold at merge
+    time.
     """
-    ids = _mention_ids(mentions)
-    if isinstance(scores, ScoreTable):
-        scores = scores.matrix(sorted(ids))
-    final, merges = average_link(ids, scores, merge_threshold)
+    final, merges = average_link([m.mention_id for m in mentions], scores, merge_threshold)
     return Partition(final), merges
 
 

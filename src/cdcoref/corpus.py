@@ -110,10 +110,6 @@ class Partition:
     def mentions(self) -> frozenset:
         return frozenset(self.mention_index)
 
-    def cluster_of(self, mention) -> frozenset | None:
-        i = self.mention_index.get(mention)
-        return None if i is None else self.clusters[i]
-
     def restricted_to(self, keep: Iterable) -> "Partition":
         """Intersect every cluster with `keep`; empty remnants are dropped."""
         keep = set(keep)
@@ -173,9 +169,8 @@ class Corpus:
             raise SchemaError(f"unknown mention type {mention_type!r}")
         return [m for m in self.gold_mentions if m.mention_type == mention_type]
 
-    def token_count(self, doc_ids: Iterable[str] | None = None) -> int:
-        ids = self.documents.keys() if doc_ids is None else doc_ids
-        return sum(len(self.documents[d]) for d in ids)
+    def token_count(self, doc_ids: Iterable[str]) -> int:
+        return sum(len(self.documents[d]) for d in doc_ids)
 
 
 def _check_mention(m: Mention, documents: Mapping[str, Document]) -> None:
@@ -203,23 +198,6 @@ def _check_mention(m: Mention, documents: Mapping[str, Document]) -> None:
 def filter_singletons(partition: Partition) -> Partition:
     """Drop size-1 clusters. Idempotent; never invents or splits clusters."""
     return Partition(c for c in partition.clusters if len(c) >= 2)
-
-
-def restrict_to_unit(
-    corpus: Corpus, doc_ids: Iterable[str]
-) -> tuple[list[Mention], Partition]:
-    """Project gold mentions and clusters onto one evaluation unit.
-
-    Clusters are intersected with the unit's mention set; empty remnants are
-    dropped, singleton remnants are kept. Mention order follows the corpus.
-    """
-    doc_ids = set(doc_ids)
-    unknown = doc_ids - corpus.documents.keys()
-    if unknown:
-        raise InvariantError(f"unknown doc_id(s) in unit: {sorted(unknown)}")
-    kept = [m for m in corpus.gold_mentions if m.doc_id in doc_ids]
-    part = corpus.gold_partition.restricted_to(m.mention_id for m in kept)
-    return kept, part
 
 
 # --- JSON files ---------------------------------------------------------------

@@ -369,6 +369,16 @@ def run_pipeline_from_config(config_path) -> tuple[Partition, MetricReport]:
     """
     base = os.path.dirname(os.path.abspath(config_path))
     config, paths = read_json(config_path, lambda raw: _config_from_json(raw, base))
+    corpus, response, mentions = _response_from_paths(config, paths)
+    return response, _score_response(corpus, config, response, mentions)
+
+
+def _response_from_paths(
+    config: EvalConfig, paths: Mapping
+) -> tuple[Corpus, Partition, list[Mention]]:
+    """Load the inputs that `paths` names, build the pooled response, and
+    write it with its mention table to the output path, if there is one.
+    Returns the corpus, the response and the selected mentions."""
     corpus = load_corpus(paths["corpus"])
     pair_scores = read_score_file(paths["scores"]) if paths["scores"] else None
     mention_scores = (
@@ -380,4 +390,4 @@ def run_pipeline_from_config(config_path) -> tuple[Partition, MetricReport]:
     )
     if paths["output"]:
         save_partition_file(paths["output"], response, response_members(response, mentions))
-    return response, _score_response(corpus, config, response, mentions)
+    return corpus, response, mentions

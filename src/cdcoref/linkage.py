@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,18 +20,13 @@ class Merge:
     score: float
 
 
-def _score_matrix(ids: list, pair_score) -> np.ndarray:
+def _score_matrix(ids: list, pair_score: np.ndarray) -> np.ndarray:
     """Symmetric (n, n) float64 item-pair scores over `ids`, -inf on the
-    diagonal, built from the pairs above the diagonal."""
+    diagonal, copied from the entries above the diagonal."""
     n = len(ids)
-    if callable(pair_score):
-        scores = np.empty((n, n))
-        for i, a in enumerate(ids):
-            scores[i, i + 1 :] = [pair_score(a, b) for b in ids[i + 1 :]]
-    else:
-        scores = np.array(pair_score, dtype=np.float64)
-        if scores.shape != (n, n):
-            raise ValueError(f"score array has shape {scores.shape}, expected {(n, n)}")
+    scores = np.array(pair_score, dtype=np.float64)
+    if scores.shape != (n, n):
+        raise ValueError(f"score array has shape {scores.shape}, expected {(n, n)}")
     for i in range(n):
         scores[i, i] = NEG_INF
         scores[i + 1 :, i] = scores[i, i + 1 :]
@@ -45,7 +40,7 @@ def _score_matrix(ids: list, pair_score) -> np.ndarray:
 
 def average_link(
     items: Sequence,
-    pair_score: Callable | np.ndarray,
+    pair_score: np.ndarray,
     threshold: float,
 ) -> tuple[list[frozenset], list[Merge]]:
     """Cluster `items` bottom-up by average pairwise score.
@@ -57,12 +52,10 @@ def average_link(
     which makes the whole trace deterministic. In each logged Merge, `left`
     is the side holding the smaller smallest member.
 
-    `pair_score` is either a callable, called exactly once per item pair
-    with the smaller id first, or an (n, n) array of scores over
-    `sorted(items)`, of which only the entries above the diagonal are read.
-    Scores of -inf are allowed and act as "never merge"; NaN and +inf are
-    rejected. Returns the final clusters (canonically sorted) and the
-    ordered merge log.
+    `pair_score` is an (n, n) array of scores over `sorted(items)`, of
+    which only the entries above the diagonal are read. Scores of -inf are
+    allowed and act as "never merge"; NaN and +inf are rejected. Returns
+    the final clusters (canonically sorted) and the ordered merge log.
 
     Clusters live in slots of two n x n float64 matrices (16 n^2 bytes:
     5 MB at n = 560, 144 MB at n = 3,000): cluster-pair score sums and,

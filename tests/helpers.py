@@ -18,7 +18,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from typing import Callable, Sequence
@@ -30,6 +34,7 @@ from cdcoref import (
     PRF,
     DocVector,
     Document,
+    Mention,
     Merge,
     Partition,
     ScoreTable,
@@ -37,6 +42,8 @@ from cdcoref import (
     cosine,
     optimal_alignment,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def random_partition(rng, members) -> Partition:
@@ -63,6 +70,16 @@ def random_same_universe_pair(rng, max_mentions=9) -> tuple[Partition, Partition
     n = rng.randrange(1, max_mentions + 1)
     universe = [f"m{i}" for i in range(n)]
     return random_partition(rng, universe), random_partition(rng, universe)
+
+
+def lemma_score_table(mentions: Sequence[Mention]) -> ScoreTable:
+    """1.0 for every pair of mentions whose case-folded head lemmas match,
+    else 0.0: clustering these scores at a threshold in (0, 1] reproduces
+    `head_lemma_baseline`."""
+    lemma = {m.mention_id: m.head_lemma.casefold() for m in mentions}
+    return ScoreTable(
+        {(a, b): float(lemma[a] == lemma[b]) for a, b in itertools.combinations(lemma, 2)}
+    )
 
 
 def dyadic_score_table(rng, ids) -> ScoreTable:
@@ -291,8 +308,8 @@ def _lea_side(a: Partition, b: Partition) -> tuple[float, int]:
         if size == 1:
             # self-link credit only if the mention is a singleton on both sides
             (m,) = cluster
-            other = b.cluster_of(m)
-            resolution = 1.0 if other is not None and len(other) == 1 else 0.0
+            i = b.mention_index.get(m)
+            resolution = 1.0 if i is not None and len(b.clusters[i]) == 1 else 0.0
         else:
             counts = Counter(
                 b.mention_index[m] for m in cluster if m in b.mention_index
@@ -350,13 +367,18 @@ def reference_tfidf_vectors(docs: Sequence[Document]) -> list[DocVector]:
 def callable_cluster_documents(
     vectors: Sequence[DocVector], threshold: float
 ) -> tuple[list[frozenset], list[Merge]]:
-    """Average-link clustering of documents with `cosine` called per pair.
-    Returns the clusters and the merge log."""
-    ids = [v.doc_id for v in vectors]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate doc_id in vectors")
+    """Average-link clustering of documents on an array filled by calling
+    `cosine` once per pair, smaller id first. Returns the clusters and the
+    merge log."""
     by_id = {v.doc_id: v for v in vectors}
-    return average_link(ids, lambda a, b: cosine(by_id[a], by_id[b]), threshold)
+    if len(by_id) != len(vectors):
+        raise ValueError("duplicate doc_id in vectors")
+    ids = sorted(by_id)
+    sims = np.full((len(ids), len(ids)), -np.inf)
+    for i, a in enumerate(ids):
+        for j in range(i + 1, len(ids)):
+            sims[i, j] = cosine(by_id[a], by_id[ids[j]])
+    return average_link(ids, sims, threshold)
 
 
 @st.composite
@@ -388,3 +410,30 @@ def partition_strategy(draw, max_mentions=8):
     for m, label in zip(members, labels):
         groups.setdefault(label, set()).add(m)
     return Partition(groups.values())
+
+
+RUNNER = """
+import contextlib, io, json, sys
+from cdcoref.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def run_cli(argvs, hash_seed):
+    """[exit code, stdout, stderr] of `cdcoref` for each argv, in one
+    interpreter started with PYTHONHASHSEED=hash_seed."""
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONHASHSEED": str(hash_seed),
+             "PYTHONPATH": os.pathsep.join(p for p in path if p)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)

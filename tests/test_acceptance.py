@@ -35,7 +35,6 @@ from cdcoref import (
     head_lemma_baseline,
     import_partition_conll,
     lea,
-    lemma_score_table,
     load_corpus,
     load_partition_file,
     muc,
@@ -58,6 +57,7 @@ from helpers import (
     brute_force_average_link,
     dyadic_score_table,
     exhaustive_alignment_total,
+    lemma_score_table,
     random_partition_pair,
     random_same_universe_pair,
 )
@@ -250,7 +250,7 @@ def test_criterion_4_clustering_vs_rescan_oracle():
         ids = [f"m{i}" for i in range(n)]
         scores = dyadic_score_table(rng, ids)
         threshold = rng.randrange(-16, 25) / 16
-        got_clusters, got_merges = average_link(ids, scores.get, threshold)
+        got_clusters, got_merges = average_link(ids, scores.matrix(sorted(ids)), threshold)
         want_clusters, want_merges = brute_force_average_link(
             ids, scores.get, threshold
         )
@@ -261,7 +261,7 @@ def test_criterion_4_clustering_vs_rescan_oracle():
             # dyadic scores keep both routes bit-exact; compare with == on purpose
             assert got.score == avg
         # raising the threshold only refines the clustering
-        higher, _ = average_link(ids, scores.get, threshold + 0.5)
+        higher, _ = average_link(ids, scores.matrix(sorted(ids)), threshold + 0.5)
         for cluster in higher:
             assert any(cluster <= coarse for coarse in got_clusters)
 
@@ -278,7 +278,8 @@ def test_criterion_5_lemma_clustering_equals_baseline():
                     head_lemma=rng.choice(lemmas))
             for i in range(n)
         ]
-        clustered = agglomerative_cluster_trace(mentions, lemma_score_table(mentions), 0.5)[0]
+        scores = lemma_score_table(mentions).matrix(sorted(m.mention_id for m in mentions))
+        clustered = agglomerative_cluster_trace(mentions, scores, 0.5)[0]
         assert clustered == head_lemma_baseline(mentions)
 
 

@@ -10,10 +10,9 @@ from cdcoref import (
     SchemaError,
     agglomerative_cluster_trace,
     head_lemma_baseline,
-    lemma_pair_scorer,
-    lemma_score_table,
     singleton_baseline,
 )
+from helpers import lemma_score_table
 
 
 def lemma_mention(mid, lemma):
@@ -43,26 +42,6 @@ class TestHeadLemmaBaseline:
 
 
 class TestLemmaScorer:
-    def test_pair_values(self):
-        a, b, c = (
-            lemma_mention("a", "Strike"),
-            lemma_mention("b", "strike"),
-            lemma_mention("c", "offer"),
-        )
-        assert lemma_pair_scorer(a, b) == 1.0
-        assert lemma_pair_scorer(a, c) == 0.0
-
-    def test_missing_lemma_rejected(self):
-        with pytest.raises(SchemaError, match="no head lemma"):
-            lemma_pair_scorer(lemma_mention("a", "x"), Mention("b", "d", 0, 0, "event"))
-
-    def test_table_materializes_all_pairs(self):
-        mentions = [lemma_mention(f"m{i}", l) for i, l in enumerate("xxy")]
-        t = lemma_score_table(mentions)
-        assert len(t) == 3
-        assert t.get("m0", "m1") == 1.0
-        assert t.get("m0", "m2") == 0.0
-
     def test_clustering_lemma_scores_equals_baseline(self):
         rng = random.Random(5)
         lemmas = ["strike", "offer", "quit", "blaze"]
@@ -71,7 +50,7 @@ class TestLemmaScorer:
                 lemma_mention(f"m{i}", rng.choice(lemmas))
                 for i in range(rng.randrange(1, 9))
             ]
-            table = lemma_score_table(mentions)
+            scores = lemma_score_table(mentions).matrix(sorted(m.mention_id for m in mentions))
             for threshold in (0.25, 0.5, 1.0):
-                clustered = agglomerative_cluster_trace(mentions, table, threshold)[0]
+                clustered = agglomerative_cluster_trace(mentions, scores, threshold)[0]
                 assert clustered == head_lemma_baseline(mentions)

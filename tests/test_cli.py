@@ -9,6 +9,7 @@ import pytest
 from cdcoref import load_partition_file, write_score_file
 from cdcoref.cli import main
 from conftest import write_json
+from helpers import lemma_score_table
 
 
 @pytest.fixture
@@ -126,8 +127,6 @@ class TestUsageErrors:
 class TestClusterCommand:
     @pytest.fixture
     def score_file(self, tmp_path, toy_corpus):
-        from cdcoref import lemma_score_table
-
         path = tmp_path / "scores.jsonl"
         write_score_file(path, lemma_score_table(toy_corpus.gold_mentions))
         return str(path)
@@ -306,8 +305,6 @@ class TestExportPairsCommand:
 
 class TestPipelineCommand:
     def test_config_run(self, tmp_path, toy_corpus, toy_corpus_file, capsys):
-        from cdcoref import lemma_score_table
-
         write_score_file(
             tmp_path / "scores.jsonl", lemma_score_table(toy_corpus.gold_mentions)
         )

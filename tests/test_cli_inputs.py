@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcoref import lemma_score_table, load_corpus, write_score_file
+from cdcoref import load_corpus, write_score_file
 from cdcoref.cli import main
 from conftest import toy_corpus_data, write_json
+from helpers import lemma_score_table
 
 
 def write_inputs(directory) -> dict:
@@ -61,24 +62,68 @@ def predicted_cluster_argv(paths: dict) -> list:
     ]
 
 
+PREDICTED_CONFIG = {
+    "corpus": "toy.json",
+    "scores": "scores.jsonl",
+    "mention_scores": "ms.jsonl",
+    "candidates": "cands.json",
+    "unit_level": "corpus",
+    "mention_source": "predicted",
+    "mention_type": "event",
+    "clustering": {"tau": 0.5, "lambda": 1.0},
+}
+
+
+def without(argv: list, option: str) -> list:
+    k = argv.index(option)
+    return argv[:k] + argv[k + 2:]
+
+
+# (cluster command line made from the predicted one, the matching fields
+# over PREDICTED_CONFIG); the first is the predicted run itself
+VARIANTS = [
+    (lambda argv: argv, {}),
+    (
+        lambda argv: without(without(argv, "--candidates"), "--mention-scores")
+        + ["--gold-mentions"],
+        {"mention_source": "gold", "candidates": None, "mention_scores": None},
+    ),
+    # at tau 0.95 the sigmoid keeps e3 apart; unsquashed scores merge all
+    (
+        lambda argv: argv + ["--sigmoid", "--tau", "0.95"],
+        {"sigmoid": True, "clustering": {"tau": 0.95, "lambda": 1.0}},
+    ),
+    (lambda argv: without(argv, "--mention-scores"), {"mention_scores": None}),
+    (lambda argv: argv + ["--type", "all"], {"mention_type": "all"}),
+]
+
+
 def test_pipeline_and_cluster_write_identical_response_files(tmp_path, inputs):
+    for k, (argv, fields) in enumerate(VARIANTS):
+        cluster, pipeline = tmp_path / f"cluster{k}.json", f"pipeline{k}.json"
+        assert main(argv(predicted_cluster_argv(inputs)) + ["--output", str(cluster)]) == 0
+        config = {**PREDICTED_CONFIG, **fields, "output": pipeline}
+        assert main(["pipeline", "--config", write_json(tmp_path / "run.json", config)]) == 0
+        assert (tmp_path / pipeline).read_bytes() == cluster.read_bytes()
     # the pipeline once wrote the candidate file's stale score (1.0) for e1
-    assert main(predicted_cluster_argv(inputs) + ["--output", str(tmp_path / "a.json")]) == 0
-    config = write_json(tmp_path / "run.json", {
-        "corpus": "toy.json",
-        "scores": "scores.jsonl",
-        "mention_scores": "ms.jsonl",
-        "candidates": "cands.json",
-        "output": "b.json",
-        "unit_level": "corpus",
-        "mention_source": "predicted",
-        "mention_type": "event",
-        "clustering": {"tau": 0.5, "lambda": 1.0},
-    })
-    assert main(["pipeline", "--config", config]) == 0
-    written = (tmp_path / "a.json").read_bytes()
-    assert b'"score": 7.0' in written
-    assert (tmp_path / "b.json").read_bytes() == written
+    assert b'"score": 7.0' in (tmp_path / "cluster0.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--lambda", "0"], "prune_ratio must lie in (0, 1]"),
+        (["--max-span-width", "0"], "max_span_width must be at least 1"),
+        (["--tau", "nan"], "merge_threshold must be finite"),
+        # as for `pipeline`, the options make a config, which is checked
+        # before any input file is read
+        (["--lambda", "0", "--corpus", "missing.json"], "prune_ratio must lie in (0, 1]"),
+    ],
+    ids=["lambda", "max-span-width", "tau", "option-before-file"],
+)
+def test_cluster_option_out_of_range_is_input_error(tmp_path, inputs, option, message):
+    option = [str(tmp_path / a) if a == "missing.json" else a for a in option]
+    assert run_captured(predicted_cluster_argv(inputs) + option) == (1, f"error: {message}\n")
 
 
 # --- stdout bytes -------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cdcoref import (
@@ -44,8 +45,8 @@ class TestScoreTable:
         assert table(ab=0.7).get("a", "z") == -INF
         assert ScoreTable(default=0.5).get("a", "z") == 0.5
 
-    def test_from_pairs_later_wins(self):
-        t = ScoreTable.from_pairs([("a", "b", 0.1), ("b", "a", 0.9)])
+    def test_reversed_entry_later_wins(self):
+        t = ScoreTable({("a", "b"): 0.1, ("b", "a"): 0.9})
         assert t.get("a", "b") == 0.9
         assert len(t) == 1
 
@@ -68,21 +69,21 @@ class TestScoreTable:
 class TestAverageLink:
     def test_single_merge_then_stop(self):
         t = table(ab=0.9, ac=0.5, bc=0.1)
-        clusters, merges = average_link(["a", "b", "c"], t.get, 0.4)
+        clusters, merges = average_link(["a", "b", "c"], t.matrix("abc"), 0.4)
         assert clusters == [frozenset("ab"), frozenset("c")]
         # after the first merge, avg({a,b}, {c}) = (0.5 + 0.1) / 2 = 0.3
         assert merges == [Merge(frozenset("a"), frozenset("b"), 0.9)]
 
     def test_threshold_is_inclusive(self):
         t = table(ab=0.9, ac=0.5, bc=0.1)
-        clusters, merges = average_link(["a", "b", "c"], t.get, 0.3)
+        clusters, merges = average_link(["a", "b", "c"], t.matrix("abc"), 0.3)
         assert clusters == [frozenset("abc")]
         assert merges[1] == Merge(frozenset("ab"), frozenset("c"), pytest.approx(0.3))
 
     def test_averages_not_single_link(self):
         # one strong link must not drag a whole cluster across the threshold
         t = table(ab=1.0, cd=1.0, ac=1.0, ad=0.0, bc=0.0, bd=0.0)
-        clusters, _ = average_link("abcd", t.get, 0.5)
+        clusters, _ = average_link("abcd", t.matrix("abcd"), 0.5)
         assert clusters == [frozenset("ab"), frozenset("cd")]
 
     def test_equal_scores_merge_smallest_ids_first(self):
@@ -90,35 +91,35 @@ class TestAverageLink:
             {("c", "d"): 0.8, ("a", "b"): 0.8},
             default=-INF,
         )
-        _, merges = average_link("abcd", t.get, 0.5)
+        _, merges = average_link("abcd", t.matrix("abcd"), 0.5)
         assert [sorted(m.left | m.right) for m in merges] == [["a", "b"], ["c", "d"]]
 
     def test_never_merge_score(self):
         # absent table pairs score -inf and lose to any finite threshold
         t = ScoreTable()
-        clusters, merges = average_link(["a", "b"], t.get, -1000.0)
+        clusters, merges = average_link(["a", "b"], t.matrix("ab"), -1000.0)
         assert clusters == [frozenset("a"), frozenset("b")]
         assert merges == []
 
     def test_empty_and_singleton_inputs(self):
-        assert average_link([], lambda a, b: 1.0, 0.5) == ([], [])
-        assert average_link(["x"], lambda a, b: 1.0, 0.5) == ([frozenset("x")], [])
+        assert average_link([], np.ones((0, 0)), 0.5) == ([], [])
+        assert average_link(["x"], np.ones((1, 1)), 0.5) == ([frozenset("x")], [])
 
     def test_input_order_is_irrelevant(self):
         t = table(ab=0.9, ac=0.5, bc=0.1)
-        fwd = average_link(["a", "b", "c"], t.get, 0.3)
-        rev = average_link(["c", "b", "a"], t.get, 0.3)
+        fwd = average_link(["a", "b", "c"], t.matrix("abc"), 0.3)
+        rev = average_link(["c", "b", "a"], t.matrix("abc"), 0.3)
         assert fwd == rev
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="finite"):
-            average_link(["a", "b"], lambda a, b: 0.0, INF)
+            average_link(["a", "b"], np.zeros((2, 2)), INF)
         with pytest.raises(ValueError, match="duplicate"):
-            average_link(["a", "a"], lambda a, b: 0.0, 0.5)
+            average_link(["a", "a"], np.zeros((2, 2)), 0.5)
         with pytest.raises(ValueError, match="bad score"):
-            average_link(["a", "b"], lambda a, b: float("nan"), 0.5)
+            average_link(["a", "b"], np.full((2, 2), math.nan), 0.5)
         with pytest.raises(ValueError, match="bad score"):
-            average_link(["a", "b"], lambda a, b: INF, 0.5)
+            average_link(["a", "b"], np.full((2, 2), INF), 0.5)
 
     def test_matches_full_rescan_oracle(self):
         rng = random.Random(20260823)
@@ -127,7 +128,7 @@ class TestAverageLink:
             ids = [f"m{i}" for i in range(n)]
             t = dyadic_score_table(rng, ids)
             threshold = rng.randrange(-8, 17) / 16
-            got_clusters, got_merges = average_link(ids, t.get, threshold)
+            got_clusters, got_merges = average_link(ids, t.matrix(sorted(ids)), threshold)
             want_clusters, want_merges = brute_force_average_link(ids, t.get, threshold)
             assert got_clusters == want_clusters
             assert len(got_merges) == len(want_merges)
@@ -141,8 +142,8 @@ class TestAverageLink:
         for _ in range(30):
             ids = [f"m{i}" for i in range(rng.randrange(2, 7))]
             t = dyadic_score_table(rng, ids)
-            lo, _ = average_link(ids, t.get, 0.2)
-            hi, _ = average_link(ids, t.get, 0.8)
+            lo, _ = average_link(ids, t.matrix(sorted(ids)), 0.2)
+            hi, _ = average_link(ids, t.matrix(sorted(ids)), 0.8)
             # every high-threshold cluster sits inside one low-threshold cluster
             for c in hi:
                 assert any(c <= big for big in lo)
@@ -228,18 +229,17 @@ class TestCombinePairScore:
 
 
 class TestAgglomerativeCluster:
+    MENTIONS = [Mention(x, "d", i, i, "event") for i, x in enumerate("cab")]
+
     def test_accepts_mention_objects(self):
-        mentions = [
-            Mention("a", "d", 0, 0, "event"),
-            Mention("b", "d", 1, 1, "event"),
-            Mention("c", "d", 2, 2, "event"),
-        ]
-        part, merges = agglomerative_cluster_trace(mentions, table(ab=0.9), 0.5)
+        part, merges = agglomerative_cluster_trace(
+            self.MENTIONS, table(ab=0.9, ac=0.1, bc=0.2).matrix("abc"), 0.5
+        )
         assert part == Partition([["a", "b"], ["c"]])
-        assert len(merges) == 1
+        assert merges == [Merge(frozenset("a"), frozenset("b"), 0.9)]
 
     def test_unscored_pairs_never_merge(self):
-        part, _ = agglomerative_cluster_trace(["a", "b", "c"], table(ab=0.9), 0.5)
+        part, _ = agglomerative_cluster_trace(self.MENTIONS, table(ab=0.9).matrix("abc"), -1.0)
         assert part == Partition([["a", "b"], ["c"]])
 
 
@@ -258,7 +258,7 @@ class TestTrainingPairs:
         assert len(negatives) == 8
         assert len(set(negatives)) == 8
         for a, b in negatives:
-            assert self.GOLD.cluster_of(a) != self.GOLD.cluster_of(b)
+            assert self.GOLD.mention_index[a] != self.GOLD.mention_index[b]
 
     def test_ratio_larger_than_pool_takes_all(self):
         pairs = generate_training_pairs(self.GOLD, negative_ratio=20)
@@ -336,13 +336,13 @@ class TestScoreFiles:
 
 def test_merge_log_scores_reflect_merge_time_averages():
     t = table(ab=1.0, ac=0.8, bc=0.0, ad=0.0, bd=0.0, cd=0.0)
-    _, merges = average_link("abcd", t.get, 0.4)
+    _, merges = average_link("abcd", t.matrix("abcd"), 0.4)
     assert [m.score for m in merges] == [1.0, pytest.approx(0.4)]
     assert merges[1].left | merges[1].right == frozenset("abc")
 
 
 def test_math_isfinite_guard_allows_negative_threshold():
-    clusters, _ = average_link(["a", "b"], lambda a, b: -5.0, -10.0)
+    clusters, _ = average_link(["a", "b"], np.full((2, 2), -5.0), -10.0)
     assert clusters == [frozenset("ab")]
     assert not math.isinf(-10.0)
 

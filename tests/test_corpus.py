@@ -11,7 +11,6 @@ from cdcoref import (
     SchemaError,
     filter_singletons,
     load_corpus,
-    restrict_to_unit,
     save_corpus,
 )
 from conftest import GOLD_CLUSTERS, example_corpus_data, write_json
@@ -31,8 +30,8 @@ class TestPartition:
     def test_mentions_and_cluster_of(self):
         p = Partition([["a", "b"], ["c"]])
         assert p.mentions() == {"a", "b", "c"}
-        assert p.cluster_of("a") == {"a", "b"}
-        assert p.cluster_of("missing") is None
+        assert p.clusters[p.mention_index["a"]] == {"a", "b"}
+        assert "missing" not in p.mention_index
         assert len(p) == 2
 
     def test_empty_cluster_rejected(self):
@@ -60,7 +59,7 @@ class TestLoadCorpus:
         assert d1.tokens[7].sentence_index == 1
         assert d1.topic_id == "t1" and d1.subtopic_id == "t1a"
         assert example_corpus.split == "test"
-        assert example_corpus.token_count() == 21
+        assert example_corpus.token_count(example_corpus.documents) == 21
         assert example_corpus.token_count(["d2"]) == 9
 
     def test_unlisted_mentions_become_singletons(self, example_corpus):
@@ -209,20 +208,3 @@ class TestFilterSingletons:
 
     def test_empty_result_allowed(self):
         assert len(filter_singletons(Partition([["a"], ["b"]]))) == 0
-
-
-class TestRestrictToUnit:
-    def test_cross_unit_cluster_leaves_singleton_remnant(self, example_corpus):
-        mentions, part = restrict_to_unit(example_corpus, ["d1"])
-        assert [m.mention_id for m in mentions] == ["A", "B", "C", "D", "E", "F"]
-        # F's partner G lives in d2, so F survives as a singleton remnant
-        assert part == Partition([["A"], ["B"], ["C"], ["D"], ["E"], ["F"]])
-
-    def test_whole_corpus_unit_is_identity(self, example_corpus):
-        mentions, part = restrict_to_unit(example_corpus, ["d1", "d2"])
-        assert len(mentions) == 10
-        assert part == example_corpus.gold_partition
-
-    def test_unknown_doc_rejected(self, example_corpus):
-        with pytest.raises(InvariantError, match="unknown doc_id"):
-            restrict_to_unit(example_corpus, ["d1", "dX"])

@@ -25,7 +25,6 @@ from cdcoref import (
     evaluation_units,
     group_documents,
     harness,
-    lemma_score_table,
     load_corpus,
     load_partition_file,
     partition_on_spans,
@@ -35,6 +34,7 @@ from cdcoref import (
     save_partition_file,
 )
 from conftest import write_json
+from helpers import lemma_score_table
 
 
 @pytest.fixture
@@ -480,7 +480,7 @@ class TestPipelineConfigFile:
             open(toy_corpus_file, encoding="utf-8").read()
         )
         scores_rel = "scores.jsonl"
-        from cdcoref import lemma_score_table, load_corpus, write_score_file
+        from cdcoref import load_corpus, write_score_file
 
         corpus = load_corpus(toy_corpus_file)
         write_score_file(tmp_path / scores_rel, lemma_score_table(corpus.gold_mentions))

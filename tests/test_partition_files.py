@@ -8,10 +8,7 @@ object path, and output that depends on neither hash seed nor input order.
 
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -24,8 +21,8 @@ from cdcoref import (
     run_evaluation,
 )
 from conftest import write_json
+from helpers import run_cli
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 POLICIES = ("included", "omitted")
 
 
@@ -265,33 +262,6 @@ def generated_pair(rng, n=80):
         return {"mentions": rows, "clusters": list(groups.values())}
 
     return (side("k", rng.sample(spans, n * 3 // 4)), side("r", rng.sample(spans, n * 3 // 4)))
-
-
-RUNNER = """
-import contextlib, io, json, sys
-from cdcoref.cli import main
-runs = []
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    runs.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps(runs))
-"""
-
-
-def run_cli(argvs, hash_seed):
-    """[exit code, stdout, stderr] of `cdcoref` for each argv, in one
-    interpreter started with PYTHONHASHSEED=hash_seed."""
-    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-c", RUNNER, json.dumps(argvs)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONHASHSEED": str(hash_seed),
-             "PYTHONPATH": os.pathsep.join(p for p in path if p)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
 
 
 def test_evaluate_output_depends_on_neither_hash_seed_nor_input_order(tmp_path):

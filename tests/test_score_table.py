@@ -33,6 +33,12 @@ def pair_rows(draw, bad: bool = False):
     return rows if bad else [(a, b, s) for a, b, s in rows if a != b]
 
 
+def from_rows(rows, default=-INF) -> ScoreTable:
+    """A table built from (m1, m2, score) rows as `read_score_file` builds
+    one, so rows may repeat a pair or be bad in any order."""
+    return ScoreTable._from_rows(_PairRows(rows), default)
+
+
 def raised(build):
     """(type, message) of what `build()` raises, or None."""
     try:
@@ -48,7 +54,7 @@ class TestAgainstDictOracle:
     def test_same_lookups_items_and_matrices(self, rows, default, data):
         entries = {(a, b): s for a, b, s in rows}
         for table, oracle in (
-            (ScoreTable.from_pairs(rows, default), DictScoreTable.from_pairs(rows, default)),
+            (from_rows(rows, default), DictScoreTable.from_pairs(rows, default)),
             (ScoreTable(entries, default), DictScoreTable(entries, default)),
         ):
             assert len(table) == len(oracle)
@@ -70,7 +76,7 @@ class TestAgainstDictOracle:
     @given(rows=pair_rows(bad=True), default=defaults)
     def test_same_first_error(self, rows, default):
         entries = {(a, b): s for a, b, s in rows}
-        assert raised(lambda: ScoreTable.from_pairs(rows, default)) == raised(
+        assert raised(lambda: from_rows(rows, default)) == raised(
             lambda: DictScoreTable.from_pairs(rows, default)
         )
         assert raised(lambda: ScoreTable(entries, default)) == raised(
@@ -79,20 +85,20 @@ class TestAgainstDictOracle:
 
     def test_first_bad_row_raises_and_its_score_before_its_ids(self):
         with pytest.raises(ValueError, match="self-pair"):
-            ScoreTable.from_pairs([("a", "b", 0.5), ("c", "c", 1.0), ("a", "d", INF)])
+            from_rows([("a", "b", 0.5), ("c", "c", 1.0), ("a", "d", INF)])
         with pytest.raises(ValueError, match=r"\('a', 'd'\) must be finite, got inf"):
-            ScoreTable.from_pairs([("a", "b", 0.5), ("a", "d", INF), ("c", "c", 1.0)])
+            from_rows([("a", "b", 0.5), ("a", "d", INF), ("c", "c", 1.0)])
         with pytest.raises(ValueError, match=r"\('c', 'c'\) must be finite, got nan"):
-            ScoreTable.from_pairs([("a", "b", 0.5), ("c", "c", math.nan)])
+            from_rows([("a", "b", 0.5), ("c", "c", math.nan)])
 
     def test_later_reversed_duplicate_wins(self):
-        table = ScoreTable.from_pairs([("b", "a", 0.1), ("a", "c", 0.3), ("a", "b", 0.9)])
+        table = from_rows([("b", "a", 0.1), ("a", "c", 0.3), ("a", "b", 0.9)])
         assert list(table.items()) == [(("a", "b"), 0.9), (("a", "c"), 0.3)]
 
     def test_unconvertible_score_raises_like_float(self):
-        assert raised(lambda: ScoreTable.from_pairs([("a", "b", "x")])) == (
+        assert raised(lambda: from_rows([("a", "b", "x")])) == (
             ValueError, "could not convert string to float: 'x'")
-        assert ScoreTable.from_pairs([("a", "b", "0.5")]).get("a", "b") == 0.5
+        assert from_rows([("a", "b", "0.5")]).get("a", "b") == 0.5
 
 
 class TestScoreFileErrors:
@@ -219,7 +225,7 @@ def test_coding_rows_peaks_under_30_bytes_per_row():
 
 
 def test_written_bytes_are_pinned(tmp_path):
-    table = ScoreTable.from_pairs(
+    table = from_rows(
         [("m10", "m2", 0.1 + 0.2), ("b", "a", 1), ("a", "b", -0.5), ("é", "a", 1e-300),
          ("m2", "b", -2.75), ("Z", "m10", 123456789.125)],
         default=0.25,
