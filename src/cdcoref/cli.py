@@ -36,6 +36,14 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _file_path(value: str) -> str:
+    # a config reads an empty optional path as "no file"; a required one
+    # must name a file
+    if not value:
+        raise argparse.ArgumentTypeError("must name a file")
+    return value
+
+
 def _cmd_cluster(args) -> int:
     # the pipeline's config path at corpus level, so the two cannot drift
     raw = {
@@ -112,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster corpus mentions by pairwise score")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--scores", required=True, help="pairwise score JSONL file")
+    p.add_argument("--scores", required=True, type=_file_path, help="pairwise score JSONL file")
     p.add_argument("--mention-scores", help="per-mention score JSONL file")
     p.add_argument("--tau", type=float, required=True, help="merge stop threshold")
     p.add_argument(

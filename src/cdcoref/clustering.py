@@ -49,18 +49,6 @@ class ScoreTable:
         self.default = float(default)
         self._codes, self._keys, self._scores = rows.coded()
 
-    def get(self, a, b) -> float:
-        if a == b:
-            raise _self_pair(a)
-        i, j = sorted((self._codes.get(a, -1), self._codes.get(b, -1)))
-        if i < 0:
-            return self.default
-        key = i * len(self._codes) + j
-        k = int(self._keys.searchsorted(key))
-        if k < len(self._keys) and self._keys[k] == key:
-            return float(self._scores[k])
-        return self.default
-
     def items(self) -> Iterator[tuple[tuple, float]]:
         """((a, b), score) per entry with a < b, sorted by (a, b)."""
         ids = list(self._codes)
@@ -73,11 +61,12 @@ class ScoreTable:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def matrix(self, ids: Sequence) -> np.ndarray:
-        """Scores of all pairs of `ids` as an (n, n) float64 array, with the
-        default for absent pairs and on the diagonal. Ids the table does
-        not hold are allowed. Per call, O(len(ids)) lookups, then array
-        work on the entries whose smaller id is in `ids` only."""
+    def pairs(self, ids: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries between the distinct `ids`: for each, the positions
+        in `ids` of its smaller and of its larger id, and its score, in key
+        order. For sorted `ids` that is i < j in row-major order. Ids the
+        table does not hold are allowed. Per call, O(len(ids)) lookups, then
+        array work on the entries whose smaller id is in `ids` only."""
         codes, n = self._codes, len(self._codes)
         rank = np.full(n, -1)  # code -> position in ids, -1 if absent
         for k, x in enumerate(ids):
@@ -92,11 +81,7 @@ class ScoreTable:
         lo = np.repeat(held, count)
         i, j = rank[lo], rank[self._keys[rows] - lo * n]
         keep = j >= 0
-        i, j, v = i[keep], j[keep], self._scores[rows[keep]]
-        out = np.full((len(ids), len(ids)), self.default)
-        out[i, j] = v
-        out[j, i] = v
-        return out
+        return i[keep], j[keep], self._scores[rows[keep]]
 
 
 class _PairRows:
@@ -163,11 +148,7 @@ class _PairRows:
             raise self.failed[1]
         if not math.isfinite(self.scores[k]):
             raise ValueError(f"score for ({a!r}, {b!r}) must be finite, got {self.scores[k]!r}")
-        raise _self_pair(a)
-
-
-def _self_pair(a) -> ValueError:
-    return ValueError(f"self-pair ({a!r}, {a!r}) is not scorable")
+        raise ValueError(f"self-pair ({a!r}, {a!r}) is not scorable")
 
 
 @dataclass(frozen=True)

@@ -143,20 +143,25 @@ def _sigmoid(x: float) -> float:
 
 
 def _combined_scores(
-    mentions: Sequence[Mention],
+    unit: Sequence[Mention],
     pair_scores: ScoreTable,
     mention_scores: Mapping[str, float] | None,
     config: ClusteringConfig,
     apply_sigmoid: bool,
-) -> np.ndarray:
-    """Final merge scores for one unit, as an (n, n) array over the sorted
-    mention ids (filled above the diagonal). Unscored pairs stay -inf, so
-    they are never merged, with or without the sigmoid."""
-    unit = sorted(mentions, key=lambda m: m.mention_id)
-    raw = pair_scores.matrix([m.mention_id for m in unit])
-    i, j = np.nonzero(np.triu(raw != -np.inf, 1))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Final merge scores of one unit's scored pairs, `unit` sorted by
+    mention id: positions i < j in row-major order, and their scores. Under
+    a finite table default every pair is scored; otherwise only the pairs
+    that the table holds, and the rest are never merged, with or without
+    the sigmoid."""
+    n = len(unit)
+    i, j, raw = pair_scores.pairs([m.mention_id for m in unit])
+    if pair_scores.default != -np.inf:
+        full = np.full(n * (n - 1) // 2, pair_scores.default)
+        full[i * (2 * n - i - 1) // 2 + j - i - 1] = raw
+        (i, j), raw = np.triu_indices(n, 1), full
     if config.gold_mention_mode:
-        scored = combine_pair_score(0.0, 0.0, raw[i, j], gold_mention_mode=True)
+        scored = combine_pair_score(0.0, 0.0, raw, gold_mention_mode=True)
     else:
 
         def span_score(m: Mention) -> float:
@@ -169,13 +174,74 @@ def _combined_scores(
         unscored = np.union1d(i[missing[i]], j[missing[j]])
         if unscored.size:
             raise SchemaError(f"mention {unit[unscored[0]].mention_id!r} has no mention score")
-        scored = combine_pair_score(spans[i], spans[j], raw[i, j])
+        scored = combine_pair_score(spans[i], spans[j], raw)
     if apply_sigmoid:
         # math.exp, not np.exp: the two differ in the last bit on some inputs
-        scored = [_sigmoid(s) for s in scored.tolist()]
-    combined = np.full(raw.shape, -np.inf)
-    combined[i, j] = scored
-    return combined
+        scored = np.array([_sigmoid(s) for s in scored.tolist()])
+    return i, j, scored
+
+
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Per position, the smallest position of its connected component in
+    the graph on n positions with edges (i, j). Each round hooks every root
+    that an edge joins to a smaller root onto the smallest such root, then
+    jumps pointers until every label is a root."""
+    label = np.arange(n)
+    while True:
+        a, b = label[i], label[j]
+        apart = a != b
+        if not apart.any():
+            return label
+        a, b = a[apart], b[apart]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := label[label], label):
+            label = up
+
+
+def _component_arrays(
+    unit: Sequence[Mention], i: np.ndarray, j: np.ndarray, scored: np.ndarray
+) -> tuple[list[frozenset], list[tuple[list[Mention], np.ndarray]]]:
+    """Split one unit, sorted by mention id, with its scored pairs from
+    `_combined_scores`, at the connected components of its scored-pair
+    graph: no merge can join two components, as their cross sums are -inf.
+    Returns a singleton per mention in no scored pair, and per component of
+    two or more mentions, its mentions and their (m, m) score array for
+    `average_link`. Errors are those of `average_link` on the whole unit."""
+    ids = [m.mention_id for m in unit]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate items")
+    bad = np.flatnonzero(np.isnan(scored) | (scored == np.inf))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"bad score {float(scored[k])!r} for ({ids[i[k]]!r}, {ids[j[k]]!r})")
+    n = len(unit)
+    if n > 1 and len(i) == n * (n - 1) // 2:  # all pairs scored: no labelling
+        return [], [(unit, _filled(n, i, j, scored))]
+    label = _components(n, i, j)
+    size = np.bincount(label, minlength=n)
+    members = np.argsort(label, kind="stable")  # by component, then position
+    first = np.cumsum(size) - size  # where each component starts in members
+    edge_label = label[i]
+    edges = np.argsort(edge_label, kind="stable")
+    edge_count = np.bincount(edge_label, minlength=n)
+    edge_first = np.cumsum(edge_count) - edge_count
+    components = []
+    for root in np.flatnonzero(size > 1).tolist():
+        group = members[first[root] : first[root] + size[root]]
+        e = edges[edge_first[root] : edge_first[root] + edge_count[root]]
+        # positions within the component, which keeps unit order
+        rows, cols = group.searchsorted(i[e]), group.searchsorted(j[e])
+        scores = _filled(len(group), rows, cols, scored[e])
+        components.append(([unit[p] for p in group.tolist()], scores))
+    singletons = [frozenset([ids[p]]) for p in np.flatnonzero(size[label] == 1).tolist()]
+    return singletons, components
+
+
+def _filled(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """An (n, n) array of `values` at (i, j) and -inf elsewhere."""
+    out = np.full((n, n), -np.inf)
+    out[i, j] = values
+    return out
 
 
 def partition_on_spans(
@@ -254,13 +320,20 @@ def build_response(
         if not unit:
             continue
         response_mentions.extend(unit)
-        combined = _combined_scores(
-            unit, pair_scores, mention_scores, config.clustering, config.apply_sigmoid
+        unit = sorted(unit, key=lambda m: m.mention_id)
+        # the unit's pair arrays are freed before any engine call
+        singletons, components = _component_arrays(
+            unit,
+            *_combined_scores(
+                unit, pair_scores, mention_scores, config.clustering, config.apply_sigmoid
+            ),
         )
-        part, _ = agglomerative_cluster_trace(
-            unit, combined, config.clustering.merge_threshold
-        )
-        response_clusters.extend(part.clusters)
+        response_clusters.extend(singletons)
+        for mentions, scores in components:
+            part, _ = agglomerative_cluster_trace(
+                mentions, scores, config.clustering.merge_threshold
+            )
+            response_clusters.extend(part.clusters)
     return Partition(response_clusters), response_mentions
 
 

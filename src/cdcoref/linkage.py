@@ -27,9 +27,9 @@ def _score_matrix(ids: list, pair_score: np.ndarray) -> np.ndarray:
     scores = np.array(pair_score, dtype=np.float64)
     if scores.shape != (n, n):
         raise ValueError(f"score array has shape {scores.shape}, expected {(n, n)}")
-    for i in range(n):
-        scores[i, i] = NEG_INF
-        scores[i + 1 :, i] = scores[i, i + 1 :]
+    # copies, not sums, so that -0.0 stays -0.0
+    np.copyto(scores, scores.T, where=np.tri(n, k=-1, dtype=bool))
+    np.fill_diagonal(scores, NEG_INF)
     bad = np.isnan(scores) | (scores == np.inf)
     if bad.any():
         # the first bad entry in row-major order lies above the diagonal
@@ -56,6 +56,9 @@ def average_link(
     which only the entries above the diagonal are read. Scores of -inf are
     allowed and act as "never merge"; NaN and +inf are rejected. Returns
     the final clusters (canonically sorted) and the ordered merge log.
+    The pipeline calls this once per connected component of a unit's
+    scored-pair graph, with an array over that component's members only:
+    no merge can join two components, whose cross scores are all -inf.
 
     Clusters live in slots of two n x n float64 matrices (16 n^2 bytes:
     5 MB at n = 560, 144 MB at n = 3,000): cluster-pair score sums and,
@@ -80,9 +83,7 @@ def average_link(
     if n < 2:
         return [frozenset([x]) for x in ids], []
 
-    avg = sums.copy()
-    for i in range(n):
-        avg[i, : i + 1] = NEG_INF
+    avg = np.where(np.tri(n, dtype=bool), NEG_INF, sums)
     best = avg.max(axis=1)
     partner = avg.argmax(axis=1)
     size = np.ones(n, dtype=np.int64)
@@ -119,7 +120,8 @@ def average_link(
         better = (col > head_best) | ((col == head_best) & (head_partner > a))
         head_best[better] = col[better]
         head_partner[better] = a
-        rows = np.union1d(stale[stale != b], [a])
+        # a is stale itself, as partner[a] == b
+        rows = stale[stale != b]
         partner[rows] = avg[rows].argmax(axis=1)
         best[rows] = avg[rows, partner[rows]]
 

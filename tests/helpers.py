@@ -130,6 +130,20 @@ class DictScoreTable:
         return out
 
 
+def score_lookup(table: ScoreTable) -> Callable:
+    """`(a, b) -> score` over `table`'s entries, its default for an absent
+    pair: what the former `ScoreTable.get` returned."""
+    entries = dict(table.items())
+    return lambda a, b: entries.get(_pair_key(a, b), table.default)
+
+
+def score_matrix(table: ScoreTable, ids: Sequence) -> np.ndarray:
+    """Scores of all pairs of `ids` as an (n, n) array, the default for
+    absent pairs and on the diagonal: what the former `ScoreTable.matrix`
+    returned, and the array form `average_link` takes."""
+    return DictScoreTable(dict(table.items()), table.default).matrix(ids)
+
+
 def _pair_key(a, b) -> tuple:
     if a == b:
         raise ValueError(f"self-pair ({a!r}, {a!r}) is not scorable")

@@ -60,6 +60,8 @@ from helpers import (
     lemma_score_table,
     random_partition_pair,
     random_same_universe_pair,
+    score_lookup,
+    score_matrix,
 )
 
 
@@ -250,9 +252,9 @@ def test_criterion_4_clustering_vs_rescan_oracle():
         ids = [f"m{i}" for i in range(n)]
         scores = dyadic_score_table(rng, ids)
         threshold = rng.randrange(-16, 25) / 16
-        got_clusters, got_merges = average_link(ids, scores.matrix(sorted(ids)), threshold)
+        got_clusters, got_merges = average_link(ids, score_matrix(scores, sorted(ids)), threshold)
         want_clusters, want_merges = brute_force_average_link(
-            ids, scores.get, threshold
+            ids, score_lookup(scores), threshold
         )
         assert got_clusters == want_clusters
         assert len(got_merges) == len(want_merges)
@@ -261,7 +263,7 @@ def test_criterion_4_clustering_vs_rescan_oracle():
             # dyadic scores keep both routes bit-exact; compare with == on purpose
             assert got.score == avg
         # raising the threshold only refines the clustering
-        higher, _ = average_link(ids, scores.matrix(sorted(ids)), threshold + 0.5)
+        higher, _ = average_link(ids, score_matrix(scores, sorted(ids)), threshold + 0.5)
         for cluster in higher:
             assert any(cluster <= coarse for coarse in got_clusters)
 
@@ -278,7 +280,8 @@ def test_criterion_5_lemma_clustering_equals_baseline():
                     head_lemma=rng.choice(lemmas))
             for i in range(n)
         ]
-        scores = lemma_score_table(mentions).matrix(sorted(m.mention_id for m in mentions))
+        ids = sorted(m.mention_id for m in mentions)
+        scores = score_matrix(lemma_score_table(mentions), ids)
         clustered = agglomerative_cluster_trace(mentions, scores, 0.5)[0]
         assert clustered == head_lemma_baseline(mentions)
 

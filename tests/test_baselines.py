@@ -12,7 +12,7 @@ from cdcoref import (
     head_lemma_baseline,
     singleton_baseline,
 )
-from helpers import lemma_score_table
+from helpers import lemma_score_table, score_matrix
 
 
 def lemma_mention(mid, lemma):
@@ -50,7 +50,8 @@ class TestLemmaScorer:
                 lemma_mention(f"m{i}", rng.choice(lemmas))
                 for i in range(rng.randrange(1, 9))
             ]
-            scores = lemma_score_table(mentions).matrix(sorted(m.mention_id for m in mentions))
+            ids = sorted(m.mention_id for m in mentions)
+            scores = score_matrix(lemma_score_table(mentions), ids)
             for threshold in (0.25, 0.5, 1.0):
                 clustered = agglomerative_cluster_trace(mentions, scores, threshold)[0]
                 assert clustered == head_lemma_baseline(mentions)

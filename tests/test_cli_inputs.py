@@ -126,6 +126,24 @@ def test_cluster_option_out_of_range_is_input_error(tmp_path, inputs, option, me
     assert run_captured(predicted_cluster_argv(inputs) + option) == (1, f"error: {message}\n")
 
 
+def test_cluster_empty_scores_path_is_input_error(inputs):
+    argv = predicted_cluster_argv(inputs)
+    argv[argv.index("--scores") + 1] = ""
+    code, err = run_captured(argv)
+    assert code == 1
+    assert err.endswith("cdcoref cluster: error: argument --scores: must name a file\n")
+    assert "Traceback" not in err
+
+
+def test_pipeline_config_empty_scores_path_means_no_file(tmp_path, inputs):
+    # an empty optional path in a config means no file: with no score
+    # rows every mention stays a singleton
+    config = {**PREDICTED_CONFIG, "scores": "", "output": "out.json"}
+    assert main(["pipeline", "--config", write_json(tmp_path / "run.json", config)]) == 0
+    clusters = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["clusters"]
+    assert clusters and all(len(c) == 1 for c in clusters)
+
+
 # --- stdout bytes -------------------------------------------------------------
 
 EVENT_CLUSTERS = """\

@@ -24,7 +24,12 @@ from cdcoref import (
     write_score_file,
     write_training_pairs,
 )
-from helpers import brute_force_average_link, dyadic_score_table
+from helpers import (
+    brute_force_average_link,
+    dyadic_score_table,
+    score_lookup,
+    score_matrix,
+)
 
 INF = float("inf")
 
@@ -37,24 +42,25 @@ def table(**pairs) -> ScoreTable:
 class TestScoreTable:
     def test_symmetric_lookup(self):
         t = table(ab=0.7)
-        assert t.get("a", "b") == 0.7
-        assert t.get("b", "a") == 0.7
+        assert [list(x) for x in t.pairs(["a", "b"])] == [[0], [1], [0.7]]
+        # positions of the smaller id, then of the larger one
+        assert [list(x) for x in t.pairs(["b", "a"])] == [[1], [0], [0.7]]
         assert len(t) == 1
 
     def test_absent_pair_uses_default(self):
-        assert table(ab=0.7).get("a", "z") == -INF
-        assert ScoreTable(default=0.5).get("a", "z") == 0.5
+        assert [list(x) for x in table(ab=0.7).pairs(["a", "z"])] == [[], [], []]
+        assert table(ab=0.7).default == -INF
+        assert ScoreTable(default=0.5).default == 0.5
+        assert score_lookup(ScoreTable(default=0.5))("a", "z") == 0.5
 
     def test_reversed_entry_later_wins(self):
         t = ScoreTable({("a", "b"): 0.1, ("b", "a"): 0.9})
-        assert t.get("a", "b") == 0.9
+        assert list(t.items()) == [(("a", "b"), 0.9)]
         assert len(t) == 1
 
     def test_self_pair_rejected(self):
         with pytest.raises(ValueError, match="self-pair"):
             ScoreTable({("a", "a"): 1.0})
-        with pytest.raises(ValueError, match="self-pair"):
-            table(ab=0.5).get("a", "a")
 
     def test_non_finite_entry_rejected(self):
         for bad in (INF, -INF, float("nan")):
@@ -69,21 +75,21 @@ class TestScoreTable:
 class TestAverageLink:
     def test_single_merge_then_stop(self):
         t = table(ab=0.9, ac=0.5, bc=0.1)
-        clusters, merges = average_link(["a", "b", "c"], t.matrix("abc"), 0.4)
+        clusters, merges = average_link(["a", "b", "c"], score_matrix(t, "abc"), 0.4)
         assert clusters == [frozenset("ab"), frozenset("c")]
         # after the first merge, avg({a,b}, {c}) = (0.5 + 0.1) / 2 = 0.3
         assert merges == [Merge(frozenset("a"), frozenset("b"), 0.9)]
 
     def test_threshold_is_inclusive(self):
         t = table(ab=0.9, ac=0.5, bc=0.1)
-        clusters, merges = average_link(["a", "b", "c"], t.matrix("abc"), 0.3)
+        clusters, merges = average_link(["a", "b", "c"], score_matrix(t, "abc"), 0.3)
         assert clusters == [frozenset("abc")]
         assert merges[1] == Merge(frozenset("ab"), frozenset("c"), pytest.approx(0.3))
 
     def test_averages_not_single_link(self):
         # one strong link must not drag a whole cluster across the threshold
         t = table(ab=1.0, cd=1.0, ac=1.0, ad=0.0, bc=0.0, bd=0.0)
-        clusters, _ = average_link("abcd", t.matrix("abcd"), 0.5)
+        clusters, _ = average_link("abcd", score_matrix(t, "abcd"), 0.5)
         assert clusters == [frozenset("ab"), frozenset("cd")]
 
     def test_equal_scores_merge_smallest_ids_first(self):
@@ -91,13 +97,13 @@ class TestAverageLink:
             {("c", "d"): 0.8, ("a", "b"): 0.8},
             default=-INF,
         )
-        _, merges = average_link("abcd", t.matrix("abcd"), 0.5)
+        _, merges = average_link("abcd", score_matrix(t, "abcd"), 0.5)
         assert [sorted(m.left | m.right) for m in merges] == [["a", "b"], ["c", "d"]]
 
     def test_never_merge_score(self):
         # absent table pairs score -inf and lose to any finite threshold
         t = ScoreTable()
-        clusters, merges = average_link(["a", "b"], t.matrix("ab"), -1000.0)
+        clusters, merges = average_link(["a", "b"], score_matrix(t, "ab"), -1000.0)
         assert clusters == [frozenset("a"), frozenset("b")]
         assert merges == []
 
@@ -107,8 +113,8 @@ class TestAverageLink:
 
     def test_input_order_is_irrelevant(self):
         t = table(ab=0.9, ac=0.5, bc=0.1)
-        fwd = average_link(["a", "b", "c"], t.matrix("abc"), 0.3)
-        rev = average_link(["c", "b", "a"], t.matrix("abc"), 0.3)
+        fwd = average_link(["a", "b", "c"], score_matrix(t, "abc"), 0.3)
+        rev = average_link(["c", "b", "a"], score_matrix(t, "abc"), 0.3)
         assert fwd == rev
 
     def test_rejects_bad_inputs(self):
@@ -128,8 +134,8 @@ class TestAverageLink:
             ids = [f"m{i}" for i in range(n)]
             t = dyadic_score_table(rng, ids)
             threshold = rng.randrange(-8, 17) / 16
-            got_clusters, got_merges = average_link(ids, t.matrix(sorted(ids)), threshold)
-            want_clusters, want_merges = brute_force_average_link(ids, t.get, threshold)
+            got_clusters, got_merges = average_link(ids, score_matrix(t, sorted(ids)), threshold)
+            want_clusters, want_merges = brute_force_average_link(ids, score_lookup(t), threshold)
             assert got_clusters == want_clusters
             assert len(got_merges) == len(want_merges)
             for got, (a, b, avg) in zip(got_merges, want_merges):
@@ -142,8 +148,8 @@ class TestAverageLink:
         for _ in range(30):
             ids = [f"m{i}" for i in range(rng.randrange(2, 7))]
             t = dyadic_score_table(rng, ids)
-            lo, _ = average_link(ids, t.matrix(sorted(ids)), 0.2)
-            hi, _ = average_link(ids, t.matrix(sorted(ids)), 0.8)
+            lo, _ = average_link(ids, score_matrix(t, sorted(ids)), 0.2)
+            hi, _ = average_link(ids, score_matrix(t, sorted(ids)), 0.8)
             # every high-threshold cluster sits inside one low-threshold cluster
             for c in hi:
                 assert any(c <= big for big in lo)
@@ -233,13 +239,14 @@ class TestAgglomerativeCluster:
 
     def test_accepts_mention_objects(self):
         part, merges = agglomerative_cluster_trace(
-            self.MENTIONS, table(ab=0.9, ac=0.1, bc=0.2).matrix("abc"), 0.5
+            self.MENTIONS, score_matrix(table(ab=0.9, ac=0.1, bc=0.2), "abc"), 0.5
         )
         assert part == Partition([["a", "b"], ["c"]])
         assert merges == [Merge(frozenset("a"), frozenset("b"), 0.9)]
 
     def test_unscored_pairs_never_merge(self):
-        part, _ = agglomerative_cluster_trace(self.MENTIONS, table(ab=0.9).matrix("abc"), -1.0)
+        scores = score_matrix(table(ab=0.9), "abc")
+        part, _ = agglomerative_cluster_trace(self.MENTIONS, scores, -1.0)
         assert part == Partition([["a", "b"], ["c"]])
 
 
@@ -336,7 +343,7 @@ class TestScoreFiles:
 
 def test_merge_log_scores_reflect_merge_time_averages():
     t = table(ab=1.0, ac=0.8, bc=0.0, ad=0.0, bd=0.0, cd=0.0)
-    _, merges = average_link("abcd", t.matrix("abcd"), 0.4)
+    _, merges = average_link("abcd", score_matrix(t, "abcd"), 0.4)
     assert [m.score for m in merges] == [1.0, pytest.approx(0.4)]
     assert merges[1].left | merges[1].right == frozenset("abc")
 
@@ -372,7 +379,7 @@ class TestScoreFileRowChecks:
     def test_integer_score_accepted(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"m1": "b", "m2": "a", "score": 2}\n')
-        assert read_score_file(path).get("a", "b") == 2.0
+        assert list(read_score_file(path).items()) == [(("a", "b"), 2.0)]
 
 
 class TestPruneSpansSharedSpans:

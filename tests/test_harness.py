@@ -34,7 +34,7 @@ from cdcoref import (
     save_partition_file,
 )
 from conftest import write_json
-from helpers import lemma_score_table
+from helpers import lemma_score_table, score_lookup
 
 
 @pytest.fixture
@@ -541,7 +541,7 @@ class TestPipelineConfigFile:
 
 
 class TestCombinedScoreArray:
-    """The per-unit score array equals the per-pair formula bit for bit."""
+    """The per-unit combined scores equal the per-pair formula bit for bit."""
 
     @pytest.mark.parametrize("default", [-0.35, -math.inf])
     @pytest.mark.parametrize("gold_mode", [False, True])
@@ -567,20 +567,25 @@ class TestCombinedScoreArray:
             default=default,
         )
         config = ClusteringConfig(0.5, 1.0, gold_mention_mode=gold_mode)
-        got = _combined_scores(unit, table, overrides, config, apply_sigmoid=True)
+        ordered = sorted(unit, key=lambda m: m.mention_id)
+        rows, cols, scored = _combined_scores(ordered, table, overrides, config, True)
+        got = dict(zip(zip(rows.tolist(), cols.tolist()), scored.tolist()))
+        # one entry per pair, i < j, in row-major order
+        assert list(got) == sorted(got) and len(got) == len(scored)
 
         def span(m):
             return overrides.get(m.mention_id, m.mention_score)
 
-        ordered = sorted(unit, key=lambda m: m.mention_id)
+        lookup = score_lookup(table)
         for i, a in enumerate(ordered):
             for j, b in enumerate(ordered[i + 1 :], start=i + 1):
-                raw = table.get(a.mention_id, b.mention_id)
+                raw = lookup(a.mention_id, b.mention_id)
                 if raw == -math.inf:
-                    want = -math.inf  # unscored: never merged, sigmoid or not
+                    # unscored: never merged, sigmoid or not
+                    assert (i, j) not in got, (a.mention_id, b.mention_id)
                 else:
                     want = _sigmoid(combine_pair_score(span(a), span(b), raw, gold_mode))
-                assert got[i, j] == want, (a.mention_id, b.mention_id)
+                    assert got[i, j] == want, (a.mention_id, b.mention_id)
 
     def test_unscored_pairs_never_merge_under_sigmoid(self, toy_corpus):
         # sigmoid(-inf) would be 0, which clears any tau <= 0

@@ -74,3 +74,14 @@ def test_array_input_errors():
         average_link(["a", "b", "c"], np.array([[0, 1, np.nan], [0, 0, 1], [0, 0, 0]]), 0.5)
     with pytest.raises(ValueError, match="bad score inf"):
         average_link(["a", "b"], np.array([[0, np.inf], [0, 0]]), 0.5)
+
+
+def test_negative_zero_scores_stay_negative_zero():
+    # after a and c merge, their row sums (a, b) with the mirror of (b, c)
+    # below the diagonal, which must be a copy of -0.0, not a sum with 0.0
+    scores = np.full((3, 3), NEG_INF)
+    scores[0, 2] = 1.0
+    scores[0, 1] = scores[1, 2] = -0.0
+    _, merges = average_link("abc", scores, -1.0)
+    assert [m.score for m in merges] == [1.0, 0.0]
+    assert math.copysign(1.0, merges[1].score) == -1.0

@@ -111,6 +111,9 @@ PIPELINES = [
      "clustering": {"tau": 0.8, "lambda": 0.5, "max_span_width": 2}},
     {"unit_level": "gold_subtopic", "mention_source": "predicted", "candidates": "cands.json",
      "mention_type": "entity", "clustering": {"tau": 0.5, "lambda": 1.0}},
+    # score rows stay within a topic, so this one unit is clustered as
+    # several components
+    {"unit_level": "corpus", "clustering": {"tau": 0.25, "lambda": 0.4}},
 ]
 CLUSTERS = [
     ["--tau", "0.25", "--gold-mentions"],
