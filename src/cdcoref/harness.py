@@ -260,9 +260,11 @@ def partition_on_spans(
 
 
 def _on_spans(clusters, spans: Mapping, build=_canonical):
-    """`build` on the clusters of ids as clusters of their spans."""
+    """`build` on the clusters of ids as clusters of their spans; each is
+    built as a frozenset, which `_canonical` keeps with no copy."""
+    span = spans.__getitem__
     try:
-        return build({spans[m] for m in c} for c in clusters)
+        return build(frozenset(map(span, c)) for c in clusters)
     except InvariantError as e:
         raise InvariantError(f"span identity is ambiguous across clusters: {e}") from e
 

@@ -439,15 +439,20 @@ print(json.dumps(runs))
 """
 
 
+def run_python(code, *args, **env):
+    """The last line that `python -c code *args` prints, read as JSON, in a
+    fresh interpreter on this checkout's sources with `env` added to its
+    environment."""
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def run_cli(argvs, hash_seed):
     """[exit code, stdout, stderr] of `cdcoref` for each argv, in one
     interpreter started with PYTHONHASHSEED=hash_seed."""
-    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-c", RUNNER, json.dumps(argvs)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONHASHSEED": str(hash_seed),
-             "PYTHONPATH": os.pathsep.join(p for p in path if p)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return run_python(RUNNER, json.dumps(argvs), PYTHONHASHSEED=str(hash_seed))

@@ -10,10 +10,7 @@ errors to those of the engine on the whole unit's array.
 import contextlib
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -36,7 +33,7 @@ from cdcoref import (
     build_response,
 )
 from cdcoref.harness import _combined_scores, _components, _sigmoid
-from helpers import ROOT, heap_average_link
+from helpers import heap_average_link, run_python
 from test_run_determinism import generated_inputs, write_inputs
 
 NEG_INF = float("-inf")
@@ -243,27 +240,38 @@ def recording(items, scores, threshold):
     calls.append(len(items))
     return original(items, scores, threshold)
 cdcoref.clustering.average_link = recording
-code = main(["pipeline", "--config", sys.argv[1]])
-graph = sorted(m for m in sys.modules if m.startswith("scipy.sparse.csgraph"))
-print(json.dumps([code, calls, graph]))
+configs, key, response = json.loads(sys.argv[1])
+codes = [main(["pipeline", "--config", config]) for config in configs]
+codes += [main(["evaluate", "--key", key, "--response", response, "--singletons", flag])
+          for flag in ("include", "omit")]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps([codes, calls, loaded]))
 """
 
 
-def test_corpus_level_run_does_not_import_the_sparse_graph_module(tmp_path):
-    # scipy.sparse itself is imported with scipy.optimize, which CEAFe uses
-    write_inputs(tmp_path / "in", generated_inputs(random.Random(3)))
-    config = tmp_path / "in" / "run.json"
-    config.write_text(json.dumps({
-        "corpus": "corpus.json", "scores": "scores.jsonl", "unit_level": "corpus",
-        "mention_type": "all", "clustering": {"tau": 0.25, "lambda": 0.4},
-    }), encoding="utf-8")
-    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-c", GUARD, str(config)], capture_output=True, text=True,
-        timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, calls, imported = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert code == 0 and imported == []
+def test_runs_load_no_scipy_module_but_the_assignment_extension(tmp_path):
+    # CEAFe's solver is loaded from scipy.optimize._lsap alone: neither the
+    # scipy.optimize package nor scipy.sparse, scipy.sparse.csgraph or
+    # scipy.linalg is imported
+    directory = tmp_path / "in"
+    inputs = generated_inputs(random.Random(3))
+    write_inputs(directory, inputs)
+    corpus = inputs["corpus"]
+    key = directory / "key.json"
+    key.write_text(json.dumps({"mentions": corpus["mentions"], "clusters": corpus["clusters"]}),
+                   encoding="utf-8")
+    configs = []
+    for policy in ("included", "omitted"):
+        config = directory / f"run_{policy}.json"
+        config.write_text(json.dumps({
+            "corpus": "corpus.json", "scores": "scores.jsonl", "unit_level": "corpus",
+            "mention_type": "all", "singleton_policy": policy, "output": "response.json",
+            "clustering": {"tau": 0.25, "lambda": 0.4},
+        }), encoding="utf-8")
+        configs.append(str(config))
+    argument = json.dumps([configs, str(key), str(directory / "response.json")])
+    codes, calls, loaded = run_python(GUARD, argument)
+    assert codes == [0, 0, 0, 0]
+    assert loaded == ["scipy.optimize._lsap"]
     # score rows stay within a topic, so the one unit splits
     assert len(calls) > 1

@@ -1,16 +1,22 @@
 """`cdcoref evaluate` on partition files: reports and errors against the
-object path, and output that depends on neither hash seed nor input order.
+object path, output that depends on neither hash seed nor input order, and
+fuzzed files that end as exit code 0, 1 or 2, never as a traceback.
 
 `run_evaluation` scores two files with no `Mention` or `Partition` built;
 `object_evaluation` below is the path it replaced: `load_partition_file`,
 `partition_on_spans` and `evaluate`.
 """
 
+import contextlib
+import copy
+import io
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcoref import (
     InvariantError,
@@ -20,6 +26,7 @@ from cdcoref import (
     partition_on_spans,
     run_evaluation,
 )
+from cdcoref.cli import main
 from conftest import write_json
 from helpers import run_cli
 
@@ -302,3 +309,98 @@ def test_evaluate_output_depends_on_neither_hash_seed_nor_input_order(tmp_path):
     assert runs[-2] == [2, "", f"error: {duplicate}: mention 'alpha' appears in more than "
                                "one cluster\n"]
     assert runs[-1][:2] == [2, ""] and "ambiguous" in runs[-1][2]
+
+
+# --- fuzzed files ---------------------------------------------------------------
+
+DELETE = object()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+# values that a field could hold, so that examples also get past the checks
+# and reach re-keying and scoring: known ids, documents, offsets, types
+plausible = st.sampled_from(["k1", "k4", "k7", "r1", "r5", "x", "", "d1", "d2", "event", "entity"])
+fuzz_values = st.just(DELETE) | plausible | st.integers(-2, 12) | json_values
+TOP_FIELDS = ["mentions", "clusters", "comment"]
+ROW_FIELDS = ["mention_id", "doc_id", "start_token", "end_token", "type", "head_lemma",
+              "score", "comment"]
+KINDS = ["document", "top", "row", "row field", "copy row", "cluster", "add cluster",
+         "member", "add member"]
+mutations = st.tuples(st.sampled_from(KINDS), st.integers(0, 9), st.integers(0, 9), fuzz_values)
+
+
+def put(container, key, value):
+    """Set or (for DELETE) remove `container[key]`, a field of a dict or an
+    item of a non-empty list at an index that wraps."""
+    if isinstance(container, list) and container and isinstance(key, int):
+        key %= len(container)
+    elif not isinstance(container, dict):
+        return
+    if value is not DELETE:
+        container[key] = value
+    elif isinstance(container, dict):
+        container.pop(key, None)
+    else:
+        del container[key]
+
+
+def mutated(data, mutation):
+    """`data` with one change to the file's top-level fields, its mention
+    rows or their fields, or its clusters or their members."""
+    kind, i, j, value = mutation
+    if kind == "document":
+        return {} if value is DELETE else value
+    data = copy.deepcopy(data)
+    if not isinstance(data, dict):
+        return data
+    rows, clusters = data.get("mentions"), data.get("clusters")
+    if kind == "top":
+        put(data, TOP_FIELDS[i % len(TOP_FIELDS)], value)
+    elif kind == "row":
+        put(rows, i, value)
+    elif kind in ("row field", "copy row") and isinstance(rows, list) and rows:
+        target = rows[i % len(rows)]
+        if kind == "copy row":
+            rows.append(target := copy.deepcopy(target))
+        put(target, ROW_FIELDS[j % len(ROW_FIELDS)], value)
+    elif kind == "cluster":
+        put(clusters, i, value)
+    elif kind == "add cluster" and isinstance(clusters, list):
+        clusters.append([] if value is DELETE else value)
+    elif kind in ("member", "add member") and isinstance(clusters, list) and clusters:
+        cluster = clusters[i % len(clusters)]
+        if kind == "member":
+            put(cluster, j, value)
+        elif isinstance(cluster, list) and value is not DELETE:
+            cluster.append(value)
+    return data
+
+
+FUZZ_PAIRS = {"both tables": (KEY, RESPONSE), "neither table": ({"clusters": KEY_CLUSTERS}, SHARED_IDS)}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_PAIRS)), st.lists(mutations, min_size=1, max_size=3),
+       st.lists(mutations, max_size=3))
+def test_fuzzed_partition_files_never_raise(fuzz_dir, pair, key_changes, response_changes):
+    paths = []
+    for name, data, changes in zip(("key", "response"), FUZZ_PAIRS[pair],
+                                   (key_changes, response_changes)):
+        for change in changes:
+            data = mutated(data, change)
+        paths.append(fuzz_dir / f"{name}.json")
+        paths[-1].write_text(json.dumps(data), encoding="utf-8")
+    for flag in ("include", "omit"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--key", str(paths[0]), "--response", str(paths[1]),
+                         "--singletons", flag, "--json"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
