@@ -207,13 +207,19 @@ def prune_spans(
     spans are the identity that responses are scored on. Ties at the cut
     boundary go to the smaller (doc_id, start_token, end_token). Returns
     fewer spans only when fewer exist; output order is score-descending
-    with the same tie rule.
+    with the same tie rule. Every score must be finite, as a NaN would
+    make the ranking depend on the input order.
     """
     if token_count < 0:
         raise ValueError("token_count must be non-negative")
-    for m in candidates:
-        if m.mention_score is None:
-            raise SchemaError(f"candidate {m.mention_id!r} has no mention score")
+    # the candidate named is the smallest id, whatever the input order
+    unscored = [m.mention_id for m in candidates if m.mention_score is None]
+    if unscored:
+        raise SchemaError(f"candidate {min(unscored)!r} has no mention score")
+    bad = [(m.mention_id, m.mention_score)
+           for m in candidates if not math.isfinite(m.mention_score)]
+    if bad:
+        raise SchemaError("candidate %r: mention score must be finite, got %r" % min(bad))
     # epsilon guards against 0.3 * 10 = 2.9999... style float artifacts
     budget = math.floor(prune_ratio * token_count + 1e-9)
     ranked = sorted(
@@ -336,7 +342,8 @@ def write_score_file(path, table: ScoreTable) -> None:
 
 
 def read_mention_scores(path) -> dict[str, float]:
-    """Read a JSONL file of rows {"mention_id", "score"}."""
+    """Read a JSONL file of rows {"mention_id", "score"}; a score must be a
+    finite number."""
     scores: dict[str, float] = {}
     for lineno, obj in read_jsonl(path):
         if "mention_id" not in obj or "score" not in obj:
@@ -347,9 +354,12 @@ def read_mention_scores(path) -> dict[str, float]:
         if isinstance(score, bool) or not isinstance(score, (int, float)):
             raise SchemaError(f"{path}:{lineno}: score must be a number")
         try:
-            scores[mention_id] = float(score)
+            score = float(score)
         except OverflowError:
             raise SchemaError(f"{path}:{lineno}: score out of range") from None
+        if not math.isfinite(score):
+            raise SchemaError(f"{path}:{lineno}: score must be finite")
+        scores[mention_id] = score
     return scores
 
 

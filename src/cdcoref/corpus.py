@@ -22,6 +22,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter, methodcaller
 from types import MappingProxyType
 
 MENTION_TYPES = ("event", "entity")
@@ -79,32 +80,27 @@ class Mention:
         return self.end_token - self.start_token + 1
 
 
-def _canonical(clusters: Iterable[Iterable]) -> list[frozenset]:
-    """`clusters` as frozensets in `Partition`'s canonical order, checked to
-    be non-empty and disjoint; the error for a shared member names the
-    smallest one, whatever the hash seed or the order of the input."""
-    sets = [frozenset(c) for c in clusters]
-    if not all(sets):
-        raise InvariantError("partition contains an empty cluster")
-    if sum(map(len, sets)) != len(frozenset().union(*sets)):
-        shared = min(m for m, n in Counter(chain.from_iterable(sets)).items() if n > 1)
-        raise InvariantError(f"mention {shared!r} appears in more than one cluster")
-    # disjoint sets sort by their member lists as by their smallest members
-    sets.sort(key=min)
-    return sets
-
-
 class Partition:
     """Disjoint, non-empty clusters over mention identifiers.
 
     Clusters are stored in a canonical order (sorted by member list), so two
     partitions with the same clusters compare equal regardless of input order.
+    The error for a shared member names the smallest one, whatever the hash
+    seed or the order of the input.
     """
 
     __slots__ = ("clusters", "mention_index")
 
     def __init__(self, clusters: Iterable[Iterable] = ()):
-        self.clusters: tuple[frozenset, ...] = tuple(_canonical(clusters))
+        sets = [frozenset(c) for c in clusters]
+        if not all(sets):
+            raise InvariantError("partition contains an empty cluster")
+        if sum(map(len, sets)) != len(frozenset().union(*sets)):
+            shared = min(m for m, n in Counter(chain.from_iterable(sets)).items() if n > 1)
+            raise InvariantError(f"mention {shared!r} appears in more than one cluster")
+        # disjoint sets sort by their member lists as by their smallest members
+        sets.sort(key=min)
+        self.clusters: tuple[frozenset, ...] = tuple(sets)
         self.mention_index: dict = {m: i for i, c in enumerate(self.clusters) for m in c}
 
     def mentions(self) -> frozenset:
@@ -369,21 +365,39 @@ def _mention_table(rows: list) -> dict[str, Mention]:
     return table
 
 
-def _span_table(rows: list) -> dict[str, tuple[str, int, int]]:
-    """`_mention_table(rows)` as spans by id. When every row has its own id
-    and exactly the field types checked here, no `Mention` is built; else
-    `_mention_table` runs, so every check and message is the same."""
+_ROW_FIELDS = tuple(map(itemgetter, ("mention_id", "doc_id", "type", "start_token", "end_token")))
+_LEMMA, _SCORE = methodcaller("get", "head_lemma", ""), methodcaller("get", "score", 0.0)
+
+
+def _partition_columns(data: Mapping) -> tuple | None:
+    """A partition file as flat columns: the members in file order, the
+    clusters' lengths, and with a mention table (else None) each member's
+    row and the rows' doc ids, starts and ends. None when a check that
+    `load_partition_file` makes may fail: each is a type test over a whole
+    column, stricter than `_require`."""
+    clusters, rows = data.get("clusters"), data.get("mentions")
+    if type(clusters) is not list or type(rows) not in (list, type(None)):
+        return None
+    if not {*map(type, clusters)} <= {list} or not all(clusters):
+        return None
+    members, lengths = list(chain.from_iterable(clusters)), list(map(len, clusters))
+    if not {*map(type, members)} <= {str}:
+        return None
+    if rows is None:
+        return members, lengths, None
     try:
-        table = {o["mention_id"]: (o["doc_id"], o["start_token"], o["end_token"]) for o in rows}
-        plain = len(table) == len(rows) and all(
-            type(o["mention_id"]) is type(o["doc_id"]) is type(o["type"]) is str
-            and type(o["start_token"]) is type(o["end_token"]) is int
-            and type(o.get("head_lemma", "")) is str and type(o.get("score", 0.0)) is float
-            for o in rows
-        )
-    except (KeyError, TypeError):
-        plain = False
-    return table if plain else {i: m.span() for i, m in _mention_table(rows).items()}
+        ids, docs, kinds, starts, ends = (list(map(field, rows)) for field in _ROW_FIELDS)
+    except (KeyError, TypeError):  # a missing field, or a row that is no object
+        return None
+    index = dict(zip(ids, range(len(ids)))) if {*map(type, ids)} <= {str} else {}
+    if (len(index) == len(ids) and all(map(index.__contains__, members))
+            and {*map(type, chain(docs, kinds))} <= {str}
+            and {*map(type, chain(starts, ends))} <= {int}
+            # a row of the five fields above has no optional field to check
+            and ({*map(len, rows)} <= {5} or {*map(type, map(_LEMMA, rows))} <= {str}
+                 and {*map(type, map(_SCORE, rows))} <= {float})):
+        return members, lengths, (list(map(index.__getitem__, members)), docs, starts, ends)
+    return None
 
 
 def _clusters(data: Mapping, known: Mapping | None) -> list[list[str]]:
@@ -469,18 +483,15 @@ def save_corpus(corpus: Corpus, path) -> None:
     })
 
 
-def _partition_from_json(data: Mapping, table=_mention_table) -> tuple[list, dict | None]:
-    """The canonical clusters of a partition file, and its mention table as
-    `table` reads it (None when the file has none)."""
-    rows = _require(data, "mentions", list, "", None)
-    mentions = None if rows is None else table(rows)
-    return _canonical(_clusters(data, mentions)), mentions
-
-
 def load_partition_file(path) -> tuple[Partition, list[Mention] | None]:
     """Read {"mentions"?: [...], "clusters": [[mention_id, ...], ...]}."""
-    clusters, mentions = read_json(path, _partition_from_json)
-    return Partition(clusters), None if mentions is None else list(mentions.values())
+
+    def parse(data: Mapping) -> tuple[Partition, list[Mention] | None]:
+        rows = _require(data, "mentions", list, "", None)
+        mentions = None if rows is None else _mention_table(rows)
+        return Partition(_clusters(data, mentions)), None if rows is None else [*mentions.values()]
+
+    return read_json(path, parse)
 
 
 def save_partition_file(

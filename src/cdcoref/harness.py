@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,17 +42,15 @@ from .corpus import (
     Mention,
     Partition,
     SchemaError,
-    _canonical,
-    _partition_from_json,
+    _partition_columns,
     _require,
-    _span_table,
     load_candidates,
     load_corpus,
     load_partition_file,
     read_json,
     save_partition_file,
 )
-from .metrics import SINGLETON_POLICIES, MetricReport, _evaluate, evaluate
+from .metrics import SINGLETON_POLICIES, MetricReport, _Overlap, _report, evaluate
 # cluster_documents and tfidf_vectors stay bound here unused, as
 # perfbench/spans.py wraps them by these names
 from .topics import cluster_documents, group_documents, tfidf_vectors  # noqa: F401
@@ -256,15 +253,9 @@ def partition_on_spans(
     missing = partition.mentions() - spans.keys()
     if missing:
         raise SchemaError(f"partition references unknown mentions: {sorted(missing)[:5]}")
-    return _on_spans(partition.clusters, spans, Partition)
-
-
-def _on_spans(clusters, spans: Mapping, build=_canonical):
-    """`build` on the clusters of ids as clusters of their spans; each is
-    built as a frozenset, which `_canonical` keeps with no copy."""
     span = spans.__getitem__
     try:
-        return build(frozenset(map(span, c)) for c in clusters)
+        return Partition(frozenset(map(span, c)) for c in partition.clusters)
     except InvariantError as e:
         raise InvariantError(f"span identity is ambiguous across clusters: {e}") from e
 
@@ -391,14 +382,69 @@ def run_evaluation(key_path, response_path, singleton_policy: str) -> MetricRepo
     When both files carry mention tables, matching happens on span identity;
     otherwise raw mention ids are compared directly. Reports and errors are
     those of `evaluate` on what `load_partition_file` and `partition_on_spans`
-    return, but no `Mention` or `Partition` is built.
+    return. When every check passes, no `Mention`, `Partition` or set is
+    built, and the overlap table comes from joint integer codes of the two
+    files' members; else that object path runs, and alone words the errors.
     """
-    parse = partial(_partition_from_json, table=_span_table)
-    key, key_spans = read_json(key_path, parse)
-    response, response_spans = read_json(response_path, parse)
-    if key_spans is not None and response_spans is not None:
-        key, response = _on_spans(key, key_spans), _on_spans(response, response_spans)
-    return _evaluate(key, response, singleton_policy)
+    key = read_json(key_path, _partition_columns)
+    # a bad key is reported before the response file is read
+    response = None if key is None else read_json(response_path, _partition_columns)
+    if response is not None and singleton_policy in SINGLETON_POLICIES:
+        table = _coded_table(key, response, singleton_policy == "omitted")
+        if table is not None:
+            return _report(table, singleton_policy)
+    key, key_mentions = load_partition_file(key_path)
+    response, response_mentions = load_partition_file(response_path)
+    if key_mentions is not None and response_mentions is not None:
+        key = partition_on_spans(key, key_mentions)
+        response = partition_on_spans(response, response_mentions)
+    return evaluate(key, response, singleton_policy)
+
+
+def _coded_table(key: tuple, response: tuple, omitted: bool) -> _Overlap | None:
+    """The overlap table of two files' `_partition_columns`, or None where
+    the object path raises or holds an offset outside int64. A member's
+    code is its span's rank among the spans of both mention tables, so
+    codes order as `Partition` orders spans (or ids, without both tables)."""
+    (key_members, key_lengths, key_table), (members, lengths, table) = key, response
+    if key_table is None or table is None:
+        # ids match as they are: each member is a row with its id as doc id
+        key_table, table = ((range(len(m)), m, [0] * len(m), [0] * len(m))
+                            for m in (key_members, members))
+    docs, n = key_table[1] + table[1], len(key_table[1]) + len(table[1])
+    doc_rank = {d: r for r, d in enumerate(sorted(set(docs)))}
+    try:
+        spans = [np.fromiter(map(doc_rank.__getitem__, docs), np.int64, n),
+                 *(np.array(key_table[k] + table[k], np.int64) for k in (2, 3))]
+    except OverflowError:
+        return None
+    by_span = np.lexsort(spans[::-1])  # by document, then start, then end
+    new = np.any([c[by_span[1:]] != c[by_span[:-1]] for c in spans], axis=0)
+    span_code = np.empty(n, np.int64)
+    span_code[by_span] = np.cumsum(np.r_[0, new])  # distinct spans before, in order
+    codes = [span_code[np.array(key_table[0], np.int64)],
+             span_code[np.array(table[0], np.int64) + len(key_table[1])]]
+    sides = []
+    for code, cluster_lengths in zip(codes, (key_lengths, lengths)):
+        k = len(cluster_lengths)
+        cluster = np.repeat(np.arange(k), cluster_lengths)
+        of_code = np.full(n, k)  # k: in no cluster
+        of_code[code] = cluster
+        if (of_code[code] != cluster).any():  # a code in two clusters
+            return None
+        present = np.flatnonzero(of_code < k)
+        sizes = np.bincount(of_code[present], minlength=k)  # each code once
+        smallest = np.full(k, n)
+        np.minimum.at(smallest, of_code[present], present)
+        order = np.argsort(smallest)
+        order = order[sizes[order] > 1] if omitted else order
+        row = np.full(k + 1, -1)  # -1 for no cluster, or a dropped one
+        row[order] = np.arange(len(order))
+        sides.append((row[of_code], sizes[order]))
+    (key_of, key_sizes), (response_of, response_sizes) = sides
+    width = max(len(response_sizes), 1)
+    shared = (key_of >= 0) & (response_of >= 0)
+    return _Overlap(key_of[shared] * width + response_of[shared], width, key_sizes, response_sizes)
 
 
 def _config_from_json(raw: Mapping, base: str) -> tuple[EvalConfig, dict]:

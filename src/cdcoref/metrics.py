@@ -127,28 +127,32 @@ def _assignment(shape, rows, cols, values) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 class _Overlap:
-    """Key x response overlap counts, kept as the nonzero cells only.
-
-    Built from two lists of disjoint clusters in `Partition`'s canonical
-    order, in one O(mentions) pass: cell (`key_of[c]`, `response_of[c]`)
-    holds `count[c]` shared mentions, cells sorted row-major. A row's
-    twinless mentions are its size minus its row sum. Every metric reads
-    both of its sides from this one table.
+    """Key x response overlap counts, kept as the nonzero cells only: cell
+    (`key_of[c]`, `response_of[c]`) holds `count[c]` shared mentions, cells
+    sorted row-major. A row's twinless mentions are its size minus its row
+    sum. Every metric reads both of its sides from this one table.
     """
 
     __slots__ = ("key_sizes", "response_sizes", "key_of", "response_of", "count")
 
-    def __init__(self, key: Sequence[frozenset], response: Sequence[frozenset]):
+    def __init__(self, cells: np.ndarray, width: int, key_sizes, response_sizes):
+        """From the cell of each shared mention, as key row * `width` plus
+        response column, and the cluster sizes of each side in order."""
+        cells, self.count = np.unique(cells, return_counts=True)
+        self.key_of, self.response_of = np.divmod(cells, width)
+        self.key_sizes, self.response_sizes = key_sizes, response_sizes
+
+    @classmethod
+    def of_clusters(cls, key: Sequence[frozenset], response: Sequence[frozenset]):
+        """From two lists of disjoint clusters in `Partition`'s canonical
+        order, joined through a dict in one O(mentions) pass."""
         width = max(len(response), 1)
         index = {m: j for j, cluster in enumerate(response) for m in cluster}
-        codes = np.fromiter(
+        cells = np.fromiter(
             (i * width + index[m] for i, cluster in enumerate(key) for m in cluster if m in index),
             np.int64,
         )
-        cells, self.count = np.unique(codes, return_counts=True)
-        self.key_of, self.response_of = np.divmod(cells, width)
-        self.key_sizes = _sizes(key)
-        self.response_sizes = _sizes(response)
+        return cls(cells, width, _sizes(key), _sizes(response))
 
     def sides(self):
         """(rows, columns, counts, row sizes, column sizes), key side first."""
@@ -223,7 +227,7 @@ def muc(key: Partition, response: Partition) -> PRF:
     Singleton clusters carry no links, so they contribute nothing to either
     side; the score is invariant under singleton filtering.
     """
-    return _muc(_Overlap(key.clusters, response.clusters))
+    return _muc(_Overlap.of_clusters(key.clusters, response.clusters))
 
 
 def b_cubed(key: Partition, response: Partition) -> PRF:
@@ -232,7 +236,7 @@ def b_cubed(key: Partition, response: Partition) -> PRF:
     Recall averages |k intersect r| / |k| over key mentions; precision is the
     mirror image. A mention absent from the other side contributes 0.
     """
-    return _b_cubed(_Overlap(key.clusters, response.clusters))
+    return _b_cubed(_Overlap.of_clusters(key.clusters, response.clusters))
 
 
 def ceaf_e(key: Partition, response: Partition) -> PRF:
@@ -250,7 +254,7 @@ def ceaf_e(key: Partition, response: Partition) -> PRF:
     all of the cost. The matched similarities are added one at a time in
     key-row order.
     """
-    return _ceaf_e(_Overlap(key.clusters, response.clusters))
+    return _ceaf_e(_Overlap.of_clusters(key.clusters, response.clusters))
 
 
 def lea(key: Partition, response: Partition) -> PRF:
@@ -260,7 +264,7 @@ def lea(key: Partition, response: Partition) -> PRF:
     partition; singleton clusters score via a self-link that counts only
     when the mention is reproduced as a singleton.
     """
-    return _lea(_Overlap(key.clusters, response.clusters))
+    return _lea(_Overlap.of_clusters(key.clusters, response.clusters))
 
 
 def conll_f1(muc_f1: float, b_cubed_f1: float, ceaf_e_f1: float) -> float:
@@ -345,24 +349,24 @@ def evaluate(
     partitions before any metric sees them; `"included"` scores them as-is.
 
     All four metrics read one overlap table, built in O(mentions) from the
-    two partitions' clusters, as `cdcoref evaluate` builds it from partition
-    files; past that, the cost is the one dense K x R assignment of CEAFe.
-    Per-cluster terms are added strictly in cluster order, so every score is
-    bit-identical to adding them one cluster at a time.
+    two partitions' clusters; past that, the cost is the one dense K x R
+    assignment of CEAFe. Per-cluster terms are added strictly in cluster
+    order, so every score is bit-identical to adding them one cluster at a
+    time.
     """
-    return _evaluate(key.clusters, response.clusters, singleton_policy)
-
-
-def _evaluate(key, response, singleton_policy: str) -> MetricReport:
-    """`evaluate` on two lists of disjoint clusters in canonical order."""
     if singleton_policy not in SINGLETON_POLICIES:
         raise ValueError(
             f"unknown singleton policy {singleton_policy!r}; "
             f"expected one of {SINGLETON_POLICIES}"
         )
+    key, response = key.clusters, response.clusters
     if singleton_policy == "omitted":
         key, response = [c for c in key if len(c) > 1], [c for c in response if len(c) > 1]
-    table = _Overlap(key, response)
+    return _report(_Overlap.of_clusters(key, response), singleton_policy)
+
+
+def _report(table: _Overlap, singleton_policy: str) -> MetricReport:
+    """The four metrics on one overlap table, and their CoNLL summary."""
     m, b, c = _muc(table), _b_cubed(table), _ceaf_e(table)
     return MetricReport(
         muc=m,
