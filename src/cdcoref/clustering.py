@@ -304,7 +304,7 @@ def generate_training_pairs(
 
 def read_score_file(path) -> ScoreTable:
     """Read a JSONL score file: rows {"m1", "m2", "score"}, optionally
-    preceded by a {"default": real} header.
+    preceded by a {"default": real} header, finite or -Infinity.
 
     Rows are coded into flat arrays as they stream. A row with a missing
     or mistyped field raises as it is read; a self-pair or a score that is
@@ -316,8 +316,8 @@ def read_score_file(path) -> ScoreTable:
     for lineno, obj in read_jsonl(path):
         if "default" in obj and "m1" not in obj:
             default = obj["default"]
-            if isinstance(default, bool) or not isinstance(default, (int, float)):
-                raise SchemaError(f"{path}:{lineno}: default must be a number")
+            if default != NEVER_MERGE:
+                default = _finite_number(default, "default", f"{path}:{lineno}")
             continue
         try:
             m1, m2, score = obj["m1"], obj["m2"], obj["score"]
@@ -330,7 +330,7 @@ def read_score_file(path) -> ScoreTable:
             raise SchemaError(f"{path}:{lineno}: score must be a number")
         add(m1, m2, score)
     try:
-        return ScoreTable._from_rows(rows, float(default))
+        return ScoreTable._from_rows(rows, default)
     except (ValueError, OverflowError) as e:
         raise SchemaError(f"{path}: {e}") from e
 
@@ -351,16 +351,21 @@ def read_mention_scores(path) -> dict[str, float]:
         mention_id, score = obj["mention_id"], obj["score"]
         if not isinstance(mention_id, str):
             raise SchemaError(f"{path}:{lineno}: mention_id must be a string")
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise SchemaError(f"{path}:{lineno}: score must be a number")
-        try:
-            score = float(score)
-        except OverflowError:
-            raise SchemaError(f"{path}:{lineno}: score out of range") from None
-        if not math.isfinite(score):
-            raise SchemaError(f"{path}:{lineno}: score must be finite")
-        scores[mention_id] = score
+        scores[mention_id] = _finite_number(score, "score", f"{path}:{lineno}")
     return scores
+
+
+def _finite_number(value, name: str, where: str) -> float:
+    """A JSON number as a finite float; else `SchemaError` at `where`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: {name} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: {name} out of range") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: {name} must be finite")
+    return value
 
 
 def write_training_pairs(path, pairs: Iterable[tuple[str, str, int]]) -> None:

@@ -171,17 +171,20 @@ def read_conll_spans(path) -> list[tuple[str, int, int, int]]:
                 raise SchemaError(f"{path}:{lineno}: bad coref column {coref!r}")
             pos = match.end()
             single, op, close = match.groups()
+            try:
+                cid = int(single or op or close)
+            except ValueError:  # more digits than int() converts
+                raise SchemaError(f"{path}:{lineno}: bad cluster id in {coref!r}") from None
             if single is not None:
-                results.append((doc_id, token_index, token_index, int(single)))
+                results.append((doc_id, token_index, token_index, cid))
             elif op is not None:
-                open_spans[int(op)].append(token_index)
+                open_spans[cid].append(token_index)
+            elif not open_spans[cid]:
+                raise SchemaError(
+                    f"{path}:{lineno}: closing bracket for cluster {cid} "
+                    "without a matching opening"
+                )
             else:
-                cid = int(close)
-                if not open_spans[cid]:
-                    raise SchemaError(
-                        f"{path}:{lineno}: closing bracket for cluster {cid} "
-                        "without a matching opening"
-                    )
                 results.append((doc_id, open_spans[cid].pop(), token_index, cid))
         if pos != len(coref):
             raise SchemaError(f"{path}:{lineno}: bad coref column {coref!r}")

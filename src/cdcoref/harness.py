@@ -142,15 +142,14 @@ def _sigmoid(x: float) -> float:
 def _combined_scores(
     unit: Sequence[Mention],
     pair_scores: ScoreTable,
-    mention_scores: Mapping[str, float] | None,
     config: ClusteringConfig,
     apply_sigmoid: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Final merge scores of one unit's scored pairs, `unit` sorted by
-    mention id: positions i < j in row-major order, and their scores. Under
-    a finite table default every pair is scored; otherwise only the pairs
-    that the table holds, and the rest are never merged, with or without
-    the sigmoid."""
+    mention id: positions i < j in row-major order, and their scores. A
+    mention's span score is its `mention_score`. Under a finite table
+    default every pair is scored; otherwise only the pairs that the table
+    holds, and the rest are never merged, with or without the sigmoid."""
     n = len(unit)
     i, j, raw = pair_scores.pairs([m.mention_id for m in unit])
     if pair_scores.default != -np.inf:
@@ -160,13 +159,7 @@ def _combined_scores(
     if config.gold_mention_mode:
         scored = combine_pair_score(0.0, 0.0, raw, gold_mention_mode=True)
     else:
-
-        def span_score(m: Mention) -> float:
-            if mention_scores is not None and m.mention_id in mention_scores:
-                return mention_scores[m.mention_id]
-            return math.nan if m.mention_score is None else m.mention_score
-
-        spans = np.array([span_score(m) for m in unit])
+        spans = np.array([m.mention_score for m in unit], float)  # None reads as NaN
         missing = np.isnan(spans)
         unscored = np.union1d(i[missing[i]], j[missing[j]])
         if unscored.size:
@@ -270,7 +263,7 @@ def build_response(
     """Cluster per evaluation unit and pool the clusters.
 
     Returns the pooled response partition over mention ids, plus the mentions
-    that survived selection (gold mentions, or pruned candidates).
+    that survived selection (gold or pruned), with `mention_scores` applied.
     """
     if pair_scores is None:
         pair_scores = ScoreTable()
@@ -284,23 +277,23 @@ def build_response(
             if (config.mention_type == "all" or m.mention_type == config.mention_type)
             and m.width() <= config.clustering.max_span_width
         ]
-        if mention_scores is not None:
-            pool = [
-                m
-                if m.mention_id not in mention_scores
-                else Mention(
-                    m.mention_id,
-                    m.doc_id,
-                    m.start_token,
-                    m.end_token,
-                    m.mention_type,
-                    m.head_lemma,
-                    mention_scores[m.mention_id],
-                )
-                for m in pool
-            ]
     else:
         pool = corpus.mentions_of_type(config.mention_type)
+    if mention_scores is not None:
+        pool = [
+            m
+            if m.mention_id not in mention_scores
+            else Mention(
+                m.mention_id,
+                m.doc_id,
+                m.start_token,
+                m.end_token,
+                m.mention_type,
+                m.head_lemma,
+                mention_scores[m.mention_id],
+            )
+            for m in pool
+        ]
 
     response_clusters: list[frozenset] = []
     response_mentions: list[Mention] = []
@@ -317,9 +310,7 @@ def build_response(
         # the unit's pair arrays are freed before any engine call
         singletons, components = _component_arrays(
             unit,
-            *_combined_scores(
-                unit, pair_scores, mention_scores, config.clustering, config.apply_sigmoid
-            ),
+            *_combined_scores(unit, pair_scores, config.clustering, config.apply_sigmoid),
         )
         response_clusters.extend(singletons)
         for mentions, scores in components:

@@ -109,6 +109,25 @@ def test_pipeline_and_cluster_write_identical_response_files(tmp_path, inputs):
     assert b'"score": 7.0' in (tmp_path / "cluster0.json").read_bytes()
 
 
+def test_gold_run_response_file_records_the_mention_score_file(tmp_path, inputs):
+    argv = ["cluster", "--corpus", inputs["corpus"], "--scores", inputs["scores"],
+            "--tau", "0.5", "--lambda", "1.0", "--type", "event", "--gold-mentions"]
+    plain, cluster = tmp_path / "plain.json", tmp_path / "cluster.json"
+    assert main(argv + ["--output", str(plain)]) == 0
+    assert main(argv + ["--mention-scores", inputs["mention_scores"],
+                        "--output", str(cluster)]) == 0
+    config = {**PREDICTED_CONFIG, "mention_source": "gold", "candidates": None,
+              "output": "pipeline.json"}
+    assert main(["pipeline", "--config", write_json(tmp_path / "run.json", config)]) == 0
+    assert (tmp_path / "pipeline.json").read_bytes() == cluster.read_bytes()
+    with_scores, without_scores = (json.loads(p.read_text()) for p in (cluster, plain))
+    # gold-mention mode adds no span score, so the clusters do not move
+    assert with_scores["clusters"] == without_scores["clusters"]
+    scores = {m["mention_id"]: m.get("score") for m in with_scores["mentions"]}
+    assert scores.pop("e1") == 7.0 and set(scores.values()) == {None}
+    assert all("score" not in m for m in without_scores["mentions"])
+
+
 @pytest.mark.parametrize(
     "option, message",
     [

@@ -11,12 +11,13 @@ import contextlib
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcoref import Mention, SchemaError, prune_spans, read_mention_scores
+from cdcoref import Mention, SchemaError, prune_spans, read_mention_scores, read_score_file
 from cdcoref.cli import main
 from conftest import toy_corpus_data, write_json
 
@@ -72,6 +73,34 @@ def test_non_finite_mention_score_is_a_located_error(tmp_path, literal):
                     f'{{"mention_id": "b", "score": {literal}}}\n', encoding="utf-8")
     with pytest.raises(SchemaError, match=f"^{path}:2: score must be finite$"):
         read_mention_scores(path)
+
+
+@pytest.mark.parametrize("literal, problem", [
+    ("Infinity", "must be finite"), ("NaN", "must be finite"), ("1e999", "must be finite"),
+    ("1" + "0" * 400, "out of range"), ("-" + "9" * 400, "out of range"),
+], ids=["Infinity", "NaN", "1e999", "400 digits", "minus 400 digits"])
+def test_non_finite_default_is_a_located_error(tmp_path, literal, problem):
+    path = tmp_path / "scores.jsonl"
+    path.write_text(f'{{"default": {literal}}}\n{{"m1": "a", "m2": "b", "score": 0.5}}\n',
+                    encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:1: default {problem}$"):
+        read_score_file(path)
+
+
+@pytest.mark.parametrize("literal", ["-Infinity", "-1e999"])
+def test_minus_infinity_default_is_never_merge(tmp_path, literal):
+    path = tmp_path / "scores.jsonl"
+    path.write_text(f'{{"default": {literal}}}\n{{"m1": "a", "m2": "b", "score": 0.5}}\n',
+                    encoding="utf-8")
+    table = read_score_file(path)
+    assert table.default == float("-inf") and list(table.items()) == [(("a", "b"), 0.5)]
+
+
+def test_infinite_default_fails_at_its_line_in_a_run(tmp_path):
+    scores = write_lines(tmp_path / "scores.jsonl", ['{"default": Infinity}', *score_rows()])
+    argv = ["cluster", "--corpus", write_json(tmp_path / "corpus.json", toy_corpus_data()),
+            "--scores", scores, "--tau", "0.5", "--gold-mentions", "--type", "event"]
+    assert run(argv) == (1, f"error: {scores}:1: default must be finite\n")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -160,7 +160,7 @@ def test_component_labels_are_the_smallest_member(n, data):
 def whole_unit_error(ids, table, mention_scores, config):
     """(type, message) that the engine raises on the whole unit's array."""
     unit = sorted(corpus_of(ids, mention_scores).gold_mentions, key=lambda m: m.mention_id)
-    i, j, scored = _combined_scores(unit, table, None, config.clustering, False)
+    i, j, scored = _combined_scores(unit, table, config.clustering, False)
     dense = np.full((len(unit), len(unit)), NEG_INF)
     dense[i, j] = scored
     with pytest.raises(ValueError) as e:

@@ -211,6 +211,15 @@ class TestReader:
         with pytest.raises(SchemaError, match="coref column"):
             read_conll_spans(path)
 
+    @pytest.mark.parametrize("mark", ["({})", "({}", "{})"])
+    def test_cluster_id_too_long_for_int_is_schema_error(self, tmp_path, mark):
+        # int() refuses more than 4300 digits with a bare ValueError
+        coref = mark.format("9" * 5000)
+        path = tmp_path / "p.conll"
+        path.write_text(f"#begin document (u); part 000\nd 0 0 a {coref}\n#end document\n")
+        with pytest.raises(SchemaError, match=r"p\.conll:2: bad cluster id in '\(?9{5000}\)?'$"):
+            read_conll_spans(path)
+
     def test_short_row(self, tmp_path):
         path = tmp_path / "p.conll"
         path.write_text("#begin document (u); part 000\nd 0 0 -\n#end document\n")

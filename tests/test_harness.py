@@ -568,7 +568,10 @@ class TestCombinedScoreArray:
         )
         config = ClusteringConfig(0.5, 1.0, gold_mention_mode=gold_mode)
         ordered = sorted(unit, key=lambda m: m.mention_id)
-        rows, cols, scored = _combined_scores(ordered, table, overrides, config, True)
+        # build_response hands over mentions whose scores are overridden
+        overridden = [replace(m, mention_score=overrides.get(m.mention_id, m.mention_score))
+                      for m in ordered]
+        rows, cols, scored = _combined_scores(overridden, table, config, True)
         got = dict(zip(zip(rows.tolist(), cols.tolist()), scored.tolist()))
         # one entry per pair, i < j, in row-major order
         assert list(got) == sorted(got) and len(got) == len(scored)
