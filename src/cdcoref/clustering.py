@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -12,7 +13,8 @@ from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Mention, Partition, SchemaError, read_jsonl, write_jsonl
+from .corpus import (SCORE_BOUND, Mention, Partition, SchemaError, _bounded_score, read_jsonl,
+                     write_jsonl)
 from .linkage import Merge, average_link
 
 NEVER_MERGE = float("-inf")
@@ -22,8 +24,9 @@ class ScoreTable:
     """Symmetric pairwise scores keyed by unordered mention-id pairs.
 
     Absent pairs fall back to `default`, which is -inf ("never merge")
-    unless configured otherwise. Entries must be finite; self-pairs are
-    rejected. The table is not mutated after construction.
+    unless configured otherwise. Entries must be finite and self-pairs are
+    rejected, each checked as it is added, so the first bad entry raises (a
+    score before its ids). The table is not mutated after construction.
 
     Storage holds no object per entry. The n ids are coded by their rank
     in sorted order; an entry is the key `lo * n + hi` of its two codes
@@ -35,19 +38,17 @@ class ScoreTable:
     __slots__ = ("default", "_codes", "_keys", "_scores")
 
     def __init__(self, entries: Mapping | None = None, default: float = NEVER_MERGE):
-        self._fill(_PairRows((a, b, s) for (a, b), s in (entries or {}).items()), default)
-
-    @classmethod
-    def _from_rows(cls, rows: "_PairRows", default: float) -> "ScoreTable":
-        table = cls.__new__(cls)
-        table._fill(rows, default)
-        return table
-
-    def _fill(self, rows: "_PairRows", default: float) -> None:
         if math.isnan(default):
             raise ValueError("default score must not be NaN")
         self.default = float(default)
+        rows = _PairRows((a, b, s) for (a, b), s in (entries or {}).items())
         self._codes, self._keys, self._scores = rows.coded()
+
+    @classmethod
+    def _from_rows(cls, rows: "_PairRows", default: float) -> "ScoreTable":
+        table = cls(default=default)
+        table._codes, table._keys, table._scores = rows.coded()
+        return table
 
     def items(self) -> Iterator[tuple[tuple, float]]:
         """((a, b), score) per entry with a < b, sorted by (a, b)."""
@@ -85,45 +86,42 @@ class ScoreTable:
 
 
 class _PairRows:
-    """(m1, m2, score) rows coded as they arrive, into flat arrays: ids get
-    codes in first-seen order and scores become floats, with no object kept
-    per row. Bad rows raise only in `coded`, which reports the first one in
-    arrival order."""
+    """(m1, m2, score) rows checked and coded as they arrive, into flat
+    arrays: ids get codes in first-seen order and scores become floats,
+    with no object kept per row. A bad row raises as it is added: first a
+    score that is not a float of magnitude at most `bound` (one that is not
+    finite, then one out of range), then a self-pair."""
 
-    __slots__ = ("codes", "left", "right", "scores", "failed")
+    __slots__ = ("codes", "left", "right", "scores", "bound")
 
-    def __init__(self, triples: Iterable[tuple] = ()):
+    def __init__(self, triples: Iterable[tuple] = (), bound: float = sys.float_info.max):
         self.codes: dict = {}
         self.left, self.right, self.scores = array("q"), array("q"), array("d")
-        self.failed: tuple[int, Exception] | None = None  # first float() failure
+        self.bound = bound
         for a, b, score in triples:
             self.add(a, b, score)
 
     def add(self, a, b, score) -> None:
         codes = self.codes
-        self.left.append(codes.setdefault(a, len(codes)))
-        self.right.append(codes.setdefault(b, len(codes)))
-        try:
-            score = float(score)
-        except (TypeError, ValueError, OverflowError) as e:
-            if self.failed is None:
-                self.failed = (len(self.scores), e)
-            score = math.nan
+        left, right = codes.setdefault(a, len(codes)), codes.setdefault(b, len(codes))
+        score, bound = float(score), self.bound
+        if not -bound <= score <= bound:
+            problem = "out of range" if math.isfinite(score) else f"must be finite, got {score!r}"
+            raise ValueError(f"score for ({a!r}, {b!r}) {problem}")
+        if left == right:
+            raise ValueError(f"self-pair ({a!r}, {a!r}) is not scorable")
+        self.left.append(left)
+        self.right.append(right)
         self.scores.append(score)
 
     def coded(self) -> tuple[dict, np.ndarray, np.ndarray]:
         """({id: rank} in sorted id order, keys, scores): one entry per
-        pair, its last row winning, in key order. The first row whose score
-        is not a finite float, or that pairs an id with itself, raises; a
-        row's score is checked before its ids, as the dict-backed table
-        did. Row-length arrays are reused in place or dropped once used, so
-        at most three are alive at once."""
+        pair, its last row winning, in key order. Row-length arrays are
+        reused in place or dropped once used, so at most three are alive
+        at once."""
         left = np.frombuffer(self.left, np.int64)
         right = np.frombuffer(self.right, np.int64)
         scores = np.frombuffer(self.scores, np.float64)
-        bad = np.flatnonzero((left == right) | ~np.isfinite(scores))
-        if bad.size:
-            self._raise(int(bad[0]))
         seen = list(self.codes)
         order = sorted(range(len(seen)), key=seen.__getitem__)
         rank = np.empty(len(seen), np.int64)
@@ -140,15 +138,6 @@ class _PairRows:
         keys = keys[last]
         by_key = by_key[last]
         return {seen[c]: r for r, c in enumerate(order)}, keys, scores[by_key]
-
-    def _raise(self, k: int):
-        seen = list(self.codes)
-        a, b = seen[self.left[k]], seen[self.right[k]]
-        if self.failed is not None and self.failed[0] == k:
-            raise self.failed[1]
-        if not math.isfinite(self.scores[k]):
-            raise ValueError(f"score for ({a!r}, {b!r}) must be finite, got {self.scores[k]!r}")
-        raise ValueError(f"self-pair ({a!r}, {a!r}) is not scorable")
 
 
 @dataclass(frozen=True)
@@ -306,18 +295,17 @@ def read_score_file(path) -> ScoreTable:
     """Read a JSONL score file: rows {"m1", "m2", "score"}, optionally
     preceded by a {"default": real} header, finite or -Infinity.
 
-    Rows are coded into flat arrays as they stream. A row with a missing
-    or mistyped field raises as it is read; a self-pair or a score that is
-    not a finite float is reported after the last row, for the first such
-    row in the file."""
+    Every score, the default unless it is -Infinity, must be at most
+    SCORE_BOUND in magnitude. Rows are checked and coded into flat arrays
+    as they stream, so the first bad line raises, at `path:line`."""
     default = NEVER_MERGE
-    rows = _PairRows()
+    rows = _PairRows(bound=SCORE_BOUND)
     add = rows.add
     for lineno, obj in read_jsonl(path):
         if "default" in obj and "m1" not in obj:
             default = obj["default"]
             if default != NEVER_MERGE:
-                default = _finite_number(default, "default", f"{path}:{lineno}")
+                default = _bounded_score(default, f"{path}:{lineno}: default")
             continue
         try:
             m1, m2, score = obj["m1"], obj["m2"], obj["score"]
@@ -328,11 +316,11 @@ def read_score_file(path) -> ScoreTable:
         # exact types reject bool; cheaper than isinstance on large files
         if type(score) is not float and type(score) is not int:
             raise SchemaError(f"{path}:{lineno}: score must be a number")
-        add(m1, m2, score)
-    try:
-        return ScoreTable._from_rows(rows, default)
-    except (ValueError, OverflowError) as e:
-        raise SchemaError(f"{path}: {e}") from e
+        try:
+            add(m1, m2, score)
+        except (ValueError, OverflowError) as e:
+            raise SchemaError(f"{path}:{lineno}: {e}") from e
+    return ScoreTable._from_rows(rows, default)
 
 
 def write_score_file(path, table: ScoreTable) -> None:
@@ -343,7 +331,7 @@ def write_score_file(path, table: ScoreTable) -> None:
 
 def read_mention_scores(path) -> dict[str, float]:
     """Read a JSONL file of rows {"mention_id", "score"}; a score must be a
-    finite number."""
+    finite number of magnitude at most SCORE_BOUND."""
     scores: dict[str, float] = {}
     for lineno, obj in read_jsonl(path):
         if "mention_id" not in obj or "score" not in obj:
@@ -351,21 +339,8 @@ def read_mention_scores(path) -> dict[str, float]:
         mention_id, score = obj["mention_id"], obj["score"]
         if not isinstance(mention_id, str):
             raise SchemaError(f"{path}:{lineno}: mention_id must be a string")
-        scores[mention_id] = _finite_number(score, "score", f"{path}:{lineno}")
+        scores[mention_id] = _bounded_score(score, f"{path}:{lineno}: score")
     return scores
-
-
-def _finite_number(value, name: str, where: str) -> float:
-    """A JSON number as a finite float; else `SchemaError` at `where`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: {name} must be a number")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise SchemaError(f"{where}: {name} out of range") from None
-    if not math.isfinite(value):
-        raise SchemaError(f"{where}: {name} must be finite")
-    return value
 
 
 def write_training_pairs(path, pairs: Iterable[tuple[str, str, int]]) -> None:

@@ -33,7 +33,7 @@ from .corpus import (
     write_text,
 )
 
-_MARK = re.compile(r"\((\d+)\)|\((\d+)|(\d+)\)")
+_MARK = re.compile(r"\(([0-9]+)\)|\(([0-9]+)|([0-9]+)\)")
 
 
 def _spans_representable(cluster_id, spans: list[tuple[int, int]]) -> None:
@@ -157,8 +157,10 @@ def read_conll_spans(path) -> list[tuple[str, int, int, int]]:
             raise SchemaError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
         doc_id, coref = parts[0], parts[-1]
         try:
+            if not (parts[2].isascii() and parts[2].isdigit()):  # int() takes "١", "_", "+"
+                raise ValueError
             token_index = int(parts[2])
-        except ValueError:
+        except ValueError:  # also more digits than int() converts
             raise SchemaError(f"{path}:{lineno}: bad token index {parts[2]!r}") from None
         if doc_id != current_doc:
             check_closed(lineno)

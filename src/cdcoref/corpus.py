@@ -17,6 +17,7 @@ as singleton clusters, so gold singletons may be written either way.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -27,6 +28,9 @@ from types import MappingProxyType
 
 MENTION_TYPES = ("event", "entity")
 SPLITS = ("train", "validation", "test")
+# the largest score magnitude an input file may hold, so that average-link's
+# sums of up to 1e100 combined scores (three scores each) stay finite
+SCORE_BOUND = 1e200
 
 
 class CorpusError(Exception):
@@ -354,11 +358,28 @@ def mention_to_json(m: Mention) -> dict:
     return obj
 
 
-def _mention_table(rows: list) -> dict[str, Mention]:
-    """A `mentions` list as mentions by id, in list order; ids are unique."""
+def _bounded_score(value, prefix: str) -> float:
+    """A JSON number as a float of magnitude at most SCORE_BOUND; else a
+    `SchemaError` that reads `prefix` and what is wrong."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{prefix} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(f"{prefix} must be finite")
+    if abs(value) > SCORE_BOUND:  # exact for an int of any size
+        raise SchemaError(f"{prefix} out of range")
+    return float(value)
+
+
+def _mention_table(rows: list, scored: bool = False, finite: bool = True) -> dict[str, Mention]:
+    """A `mentions` list as mentions by id, in list order; ids are unique.
+    With `scored` (corpus and candidate files), a finite score must be at
+    most SCORE_BOUND in magnitude, and with `finite` a score must be finite."""
     table: dict[str, Mention] = {}
     for i, obj in enumerate(rows):
         m = mention_from_json(obj, f"mentions[{i}]")
+        score = m.mention_score
+        if scored and score is not None and (finite or math.isfinite(score)):
+            _bounded_score(score, f"mentions[{i}].score:")
         if m.mention_id in table:
             raise InvariantError(f"duplicate mention_id {m.mention_id!r}")
         table[m.mention_id] = m
@@ -444,7 +465,7 @@ def _corpus_from_json(data: Mapping) -> Corpus:
         if doc.doc_id in documents:
             raise InvariantError(f"duplicate doc_id {doc.doc_id!r}")
         documents[doc.doc_id] = doc
-    mentions = _mention_table(_require(data, "mentions", list, ""))
+    mentions = _mention_table(_require(data, "mentions", list, ""), scored=True)
     clusters = _clusters(data, mentions)
     clustered = {m for ids in clusters for m in ids}
     # unlisted mentions become singletons
@@ -507,7 +528,7 @@ def save_partition_file(
 
 
 def load_candidates(path) -> list[Mention]:
-    """Read candidate mentions: {"mentions": [...]} with the corpus schema."""
-    return read_json(
-        path, lambda data: list(_mention_table(_require(data, "mentions", list, "")).values())
-    )
+    """Read candidate mentions: {"mentions": [...]} with the corpus schema;
+    a score that is not finite is left to `prune_spans`, which names it."""
+    return list(read_json(path, lambda data: _mention_table(
+        _require(data, "mentions", list, ""), scored=True, finite=False)).values())

@@ -10,15 +10,25 @@ never as a traceback.
 import contextlib
 import io
 import json
+import math
 import random
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcoref import Mention, SchemaError, prune_spans, read_mention_scores, read_score_file
+from cdcoref import (
+    Mention,
+    SchemaError,
+    ScoreTable,
+    prune_spans,
+    read_mention_scores,
+    read_score_file,
+)
 from cdcoref.cli import main
+from cdcoref.corpus import SCORE_BOUND
 from conftest import toy_corpus_data, write_json
 
 MENTIONS = toy_corpus_data()["mentions"]
@@ -101,6 +111,59 @@ def test_infinite_default_fails_at_its_line_in_a_run(tmp_path):
     argv = ["cluster", "--corpus", write_json(tmp_path / "corpus.json", toy_corpus_data()),
             "--scores", scores, "--tau", "0.5", "--gold-mentions", "--type", "event"]
     assert run(argv) == (1, f"error: {scores}:1: default must be finite\n")
+
+
+def gold_cluster_argv(tmp_path, scores) -> list:
+    return ["cluster", "--corpus", write_json(tmp_path / "corpus.json", toy_corpus_data()),
+            "--scores", scores, "--tau", "0.5", "--gold-mentions", "--type", "event"]
+
+
+def test_self_pair_fails_at_its_line_in_a_run(tmp_path):
+    rows = score_rows()
+    scores = write_lines(tmp_path / "scores.jsonl",
+                         [*rows[:2], {"m1": "a", "m2": "a", "score": 0.5}, *rows[2:]])
+    assert run(gold_cluster_argv(tmp_path, scores)) == (
+        1, f"error: {scores}:3: self-pair ('a', 'a') is not scorable\n")
+
+
+def test_default_beyond_the_score_bound_fails_at_its_line_in_a_run(tmp_path):
+    # averages of sums of such scores once overflowed to inf, then NaN
+    scores = write_lines(tmp_path / "scores.jsonl", ['{"default": 1e307}', *score_rows()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(gold_cluster_argv(tmp_path, scores)) == (
+            1, f"error: {scores}:1: default out of range\n")
+
+
+ABOVE = math.nextafter(SCORE_BOUND, math.inf)
+
+
+@pytest.mark.parametrize("literal", [repr(ABOVE), repr(-ABOVE), "1e307", "1" + "0" * 201],
+                         ids=["above", "minus above", "1e307", "202 digits"])
+def test_scores_beyond_the_bound_are_out_of_range(tmp_path, literal):
+    path = tmp_path / "scores.jsonl"
+    for rows, error in [
+        (['{"m1": "a", "m2": "b", "score": 0.5}', f'{{"m1": "a", "m2": "c", "score": {literal}}}'],
+         "2: score for ('a', 'c') out of range"),
+        ([f'{{"default": {literal}}}'], "1: default out of range"),
+    ]:
+        write_lines(path, rows)
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:{error}')}$"):
+            read_score_file(path)
+    write_lines(path, [f'{{"mention_id": "a", "score": {literal}}}'])
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:1: score out of range$"):
+        read_mention_scores(path)
+    # the library table takes any finite score
+    assert list(ScoreTable({("a", "b"): float(literal)}).items()) == [(("a", "b"), float(literal))]
+
+
+def test_scores_at_the_bound_are_read(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    write_lines(path, [{"default": -SCORE_BOUND}, {"m1": "a", "m2": "b", "score": SCORE_BOUND}])
+    table = read_score_file(path)
+    assert table.default == -SCORE_BOUND and list(table.items()) == [(("a", "b"), SCORE_BOUND)]
+    write_lines(path, [{"mention_id": "a", "score": -SCORE_BOUND}])
+    assert read_mention_scores(path) == {"a": -SCORE_BOUND}
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

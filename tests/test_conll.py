@@ -1,5 +1,7 @@
 """CoNLL bracket-format writer and reader."""
 
+import re
+
 import pytest
 
 from cdcoref import (
@@ -219,6 +221,23 @@ class TestReader:
         path.write_text(f"#begin document (u); part 000\nd 0 0 a {coref}\n#end document\n")
         with pytest.raises(SchemaError, match=r"p\.conll:2: bad cluster id in '\(?9{5000}\)?'$"):
             read_conll_spans(path)
+
+    def test_non_ascii_digits_in_an_index_or_cluster_id_are_schema_errors(self, tmp_path):
+        # int() and the regex \d also read "١" and "٣" as digits: these two
+        # rows once loaded as the one cluster {d:1-1, d:10-10}
+        path = tmp_path / "p.conll"
+        path.write_text("#begin document (u); part 000\nd 0 \u0661_0 a (\u0663)\n"
+                        "d 0 1 a (3)\n#end document\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"p\.conll:2: bad token index '\u0661_0'$"):
+            import_partition_conll(path)
+        for index, coref, problem in [("+1", "(3)", "bad token index '+1'"),
+                                      ("1_0", "(3)", "bad token index '1_0'"),
+                                      ("0", "(\u0663)", "bad coref column '(\u0663)'"),
+                                      ("0", "(3\u0663", "bad coref column '(3\u0663'")]:
+            path.write_text(f"#begin document (u); part 000\nd 0 {index} a {coref}\n"
+                            "#end document\n", encoding="utf-8")
+            with pytest.raises(SchemaError, match=re.escape(f"p.conll:2: {problem}") + "$"):
+                read_conll_spans(path)
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "p.conll"

@@ -9,6 +9,8 @@ ends as exit code 0, 1 or 2, never as a traceback. The library readers,
 
 import contextlib
 import copy
+import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -37,10 +39,13 @@ CANDIDATES = {"mentions": [*({**m, "score": (i % 3) / 2} for i, m in enumerate(D
                             "end_token": 3, "type": "event", "score": 0.25}]}
 
 
-def library_call(call, *args):
-    """`call(*args)`, with the two errors that a bad input may raise."""
+def library_call(call, *args) -> bool:
+    """`call(*args)`, with the two errors that a bad input may raise;
+    whether it returned."""
     with contextlib.suppress(SchemaError, InvariantError):
         call(*args)
+        return True
+    return False
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +57,40 @@ def fuzz_dir(tmp_path_factory):
                  for k, a in enumerate(IDS) for b in IDS if a < b])
     write_lines(directory / "ms.jsonl", [{"mention_id": m, "score": 0.5} for m in IDS[::2]])
     return directory
+
+
+# --- mention scores -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("score, problem", [
+    (float("inf"), "must be finite"), (float("nan"), "must be finite"),
+    (-1e300, "out of range"),
+], ids=["Infinity", "NaN", "-1e300"])
+def test_corpus_mention_score_fails_at_load(tmp_path, score, problem):
+    # a gold-mention run that combines mention scores reads the corpus's own
+    rows = [{**CORPUS["mentions"][0], "score": score}, *CORPUS["mentions"][1:]]
+    corpus = write_json(tmp_path / "corpus.json", {**CORPUS, "mentions": rows})
+    write_lines(tmp_path / "scores.jsonl", [{"m1": IDS[0], "m2": IDS[1], "score": 0.5}])
+    config = write_json(tmp_path / "run.json", {
+        "corpus": "corpus.json", "scores": "scores.jsonl", "unit_level": "corpus",
+        "mention_source": "gold", "mention_type": "event",
+        "clustering": {"tau": 0.5, "lambda": 0.5, "gold_mention_mode": False}})
+    assert run(["pipeline", "--config", config]) == (
+        1, f"error: {corpus}: mentions[0].score: {problem}\n")
+    with pytest.raises(SchemaError, match=re.escape(f"{corpus}: mentions[0].score: {problem}")):
+        load_corpus(corpus)
+
+
+def test_candidate_score_beyond_the_bound_fails_at_load(tmp_path):
+    rows = CANDIDATES["mentions"]
+    path = write_json(tmp_path / "cands.json",
+                      {"mentions": [rows[0], {**rows[1], "score": 1e300}, *rows[2:]]})
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: mentions[1].score: out of range")):
+        load_candidates(path)
+    # a score that is not finite is left to prune_spans, which names the candidate
+    path = write_json(tmp_path / "cands.json",
+                      {"mentions": [rows[0], {**rows[1], "score": float("nan")}, *rows[2:]]})
+    assert math.isnan(load_candidates(path)[1].mention_score)
 
 
 # --- mutations of JSON files --------------------------------------------------------
@@ -190,14 +229,18 @@ def test_fuzzed_candidates_file_never_raises(fuzz_dir, changes):
 
 # --- CoNLL files ---------------------------------------------------------------------
 
+# digits that int() or the regex \d would also read: Arabic-Indic, full-width
+OTHER_DIGITS = ["١", "٣", "１", "1_0", "+1", "-0"]
 COREF = st.sampled_from(["-", "(0)", "(1", "1)", "(0)(1", "2)(3)", "((1)", "(1)x", ")", "(",
-                         "(-1)", "(٣)", "(" + "9" * 5000 + ")", "9" * 5000 + ")"])
+                         "(-1)", "(٣)", "(1٣", "١)", "(１)", "(" + "9" * 5000 + ")",
+                         "9" * 5000 + ")"])
 RAW_LINES = st.sampled_from(["", "#begin document (x); part 000", "#end document",
                              "a1 0 1", "a1 0 x strike (0)", "a1 0 99 strike (0)",
+                             "a1 0 ١ strike (0)", "a1 0 1_0 strike -",
                              "b1 0 " + "1" * 5000 + " strike -", "\x00 \x00 \x00 \x00 \x00"])
 line_mutations = st.tuples(
     st.sampled_from(["delete", "copy", "raw", "column", "coref"]), st.integers(0, 60),
-    st.integers(0, 6), COREF | st.text(max_size=6), RAW_LINES,
+    st.integers(0, 6), COREF | st.sampled_from(OTHER_DIGITS) | st.text(max_size=6), RAW_LINES,
 )
 
 
@@ -234,5 +277,8 @@ def test_fuzzed_conll_file_raises_only_input_errors(fuzz_dir, conll_lines, chang
             lines[at % len(lines)] = " ".join(parts)
     path = fuzz_dir / "fuzzed.conll"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    library_call(import_partition_conll, path)
+    if library_call(import_partition_conll, path):
+        # a file that loads reads token indices and cluster ids in ASCII digits
+        rows = [line.split() for line in lines if line.strip() and not line.startswith("#")]
+        assert all(row[2].isascii() and row[2].isdigit() and row[-1].isascii() for row in rows)
     library_call(import_partition_conll, path, mentions)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdcoref import SchemaError, ScoreTable, read_score_file, write_score_file
 from cdcoref.clustering import _PairRows
-from cdcoref.corpus import read_jsonl
+from cdcoref.corpus import SCORE_BOUND, read_jsonl
 from helpers import DictScoreTable
 
 INF = float("inf")
@@ -99,6 +99,19 @@ class TestAgainstDictOracle:
         assert list(from_rows([("a", "b", "0.5")]).items()) == [(("a", "b"), 0.5)]
 
 
+def first_bad_line(rows):
+    """(line, message) of the first bad row in `rows` as a score file reads
+    it, or None: a row's score is checked against the dict oracle's
+    finiteness rule and then `SCORE_BOUND`, before its ids."""
+    for line, (a, b, s) in enumerate(rows, start=1):
+        if math.isfinite(s) and abs(s) > SCORE_BOUND:
+            return line, f"score for ({a!r}, {b!r}) out of range"
+        error = raised(lambda: DictScoreTable.from_pairs([(a, b, s)]))
+        if error is not None:
+            return line, error[1]
+    return None
+
+
 class TestScoreFileErrors:
     @settings(max_examples=100, deadline=None)
     @given(rows=pair_rows(bad=True))
@@ -106,19 +119,23 @@ class TestScoreFileErrors:
         path = tmp_path_factory.mktemp("scores") / "scores.jsonl"
         # non-finite scores are written as Infinity / NaN, which json reads back
         write_lines(path, [json.dumps({"m1": a, "m2": b, "score": s}) for a, b, s in rows])
-        error = raised(lambda: DictScoreTable.from_pairs(rows))
+        error = first_bad_line(rows)
         if error is None:
             assert list(read_score_file(path).items()) == sorted(
                 DictScoreTable.from_pairs(rows).items())
         else:
             with pytest.raises(SchemaError) as e:
                 read_score_file(path)
-            assert str(e.value) == f"{path}: {error[1]}"
+            assert str(e.value) == f"{path}:{error[0]}: {error[1]}"
 
-    def test_row_errors_come_before_value_errors(self, tmp_path):
+    def test_first_bad_line_in_file_order_is_reported(self, tmp_path):
         path = tmp_path / "scores.jsonl"
-        write_lines(path, ['{"m1": "a", "m2": "a", "score": 1}', '{"m1": "a", "score": 1}'])
-        with pytest.raises(SchemaError, match=r"scores.jsonl:2: missing field 'm2'"):
+        self_pair, no_m2 = '{"m1": "a", "m2": "a", "score": 1}', '{"m1": "a", "score": 1}'
+        write_lines(path, [self_pair, no_m2])
+        with pytest.raises(SchemaError, match=r"scores.jsonl:1: self-pair \('a', 'a'\)"):
+            read_score_file(path)
+        write_lines(path, [no_m2, self_pair])
+        with pytest.raises(SchemaError, match=r"scores.jsonl:1: missing field 'm2'"):
             read_score_file(path)
 
     def test_score_too_large_for_a_float(self, tmp_path):
