@@ -104,21 +104,14 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cdcoref",
-        description="Cross-document coreference evaluation and clustering toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("evaluate", help="score a response partition against a key")
+def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--key", required=True, help="key partition JSON file")
     p.add_argument("--response", required=True, help="response partition JSON file")
     p.add_argument("--singletons", choices=("include", "omit"), default="include")
     p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("cluster", help="cluster corpus mentions by pairwise score")
+
+def _cluster_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--scores", required=True, type=_file_path, help="pairwise score JSONL file")
     p.add_argument("--mention-scores", help="per-mention score JSONL file")
@@ -136,39 +129,80 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-span-width", type=int, default=15)
     p.add_argument("--sigmoid", action="store_true", help="logistic transform on scores")
     p.add_argument("--output", help="partition JSON output path (default stdout)")
-    p.set_defaults(func=_cmd_cluster)
 
-    p = sub.add_parser("topics", help="cluster documents into topics by tf-idf cosine")
+
+def _topics_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_topics)
 
-    p = sub.add_parser("baseline", help="deterministic baseline partitions")
+
+def _baseline_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--kind", choices=("singleton", "head-lemma"), required=True)
     p.add_argument("--type", choices=MENTION_TYPE_CHOICES, default="all")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_baseline)
 
-    p = sub.add_parser("export-pairs", help="labeled training pairs from gold clusters")
+
+def _export_pairs_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--ratio", type=int, default=20, help="negatives per positive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--type", choices=MENTION_TYPE_CHOICES, default="all")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_export_pairs)
 
-    p = sub.add_parser("pipeline", help="full run from a JSON config file")
+
+def _pipeline_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_pipeline)
+
+
+# name: (summary, arguments, handler), in the order that --help lists them
+_SUBCOMMANDS = {
+    "evaluate": ("score a response partition against a key", _evaluate_arguments, _cmd_evaluate),
+    "cluster": ("cluster corpus mentions by pairwise score", _cluster_arguments, _cmd_cluster),
+    "topics": ("cluster documents into topics by tf-idf cosine", _topics_arguments, _cmd_topics),
+    "baseline": ("deterministic baseline partitions", _baseline_arguments, _cmd_baseline),
+    "export-pairs": (
+        "labeled training pairs from gold clusters", _export_pairs_arguments, _cmd_export_pairs
+    ),
+    "pipeline": ("full run from a JSON config file", _pipeline_arguments, _cmd_pipeline),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cdcoref",
+        description="Cross-document coreference evaluation and clustering toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, arguments, handler) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        arguments(p)
+        p.set_defaults(func=handler)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, building only the named
+    subcommand's parser when `argv` starts with one: it prints that
+    subcommand's help and errors as the full parser would, so the full
+    parser is built only for the rest (top-level help, an unknown
+    subcommand, arguments that no parser recognises)."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        _, arguments, handler = _SUBCOMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"cdcoref {argv[0]}")
+        arguments(parser)
+        args, unrecognised = parser.parse_known_args(argv[1:])
+        if not unrecognised:
+            args.command, args.func = argv[0], handler
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         # argparse exits 2 on usage errors; report those as input errors (1)
         # and keep 2 reserved for data invariant violations

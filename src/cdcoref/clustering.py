@@ -15,9 +15,13 @@ import numpy as np
 
 from .corpus import (SCORE_BOUND, Mention, Partition, SchemaError, _bounded_score, read_jsonl,
                      write_jsonl)
-from .linkage import Merge, average_link
+from .linkage import Merge, average_link, average_link_blocks
 
 NEVER_MERGE = float("-inf")
+# the fewest components of similar size that run in lock-step: a lock-step
+# step costs about as much as four one-block merges, and stacking three
+# dense 200-mention components gained nothing
+STACK_MIN = 4
 
 
 class ScoreTable:
@@ -90,7 +94,8 @@ class _PairRows:
     arrays: ids get codes in first-seen order and scores become floats,
     with no object kept per row. A bad row raises as it is added: first a
     score that is not a float of magnitude at most `bound` (one that is not
-    finite, then one out of range), then a self-pair."""
+    finite, then one out of range, an int of any size compared exactly),
+    then a self-pair."""
 
     __slots__ = ("codes", "left", "right", "scores", "bound")
 
@@ -104,9 +109,12 @@ class _PairRows:
     def add(self, a, b, score) -> None:
         codes = self.codes
         left, right = codes.setdefault(a, len(codes)), codes.setdefault(b, len(codes))
-        score, bound = float(score), self.bound
+        bound = self.bound
+        if type(score) is not int:
+            score = float(score)
         if not -bound <= score <= bound:
-            problem = "out of range" if math.isfinite(score) else f"must be finite, got {score!r}"
+            finite = type(score) is int or math.isfinite(score)
+            problem = "out of range" if finite else f"must be finite, got {score!r}"
             raise ValueError(f"score for ({a!r}, {b!r}) {problem}")
         if left == right:
             raise ValueError(f"self-pair ({a!r}, {a!r}) is not scorable")
@@ -258,6 +266,35 @@ def agglomerative_cluster_trace(
     return Partition(final), merges
 
 
+def cluster_components(
+    components: Sequence[tuple[Sequence[Mention], np.ndarray]], merge_threshold: float
+) -> list[tuple[list[frozenset], list[Merge]]]:
+    """`average_link` on each (mentions, scores) component, as
+    `agglomerative_cluster_trace` takes them: the final clusters and merge
+    log of each, in input order. Components are bucketed by size, a bucket
+    running from its smallest component up to sqrt(2) times as many
+    mentions, so that padding keeps it within twice its own sum of m^2
+    cells. A bucket of at least STACK_MIN components runs in lock-step
+    through `average_link_blocks`, a smaller one component by component."""
+    blocks = [([m.mention_id for m in mentions], scores) for mentions, scores in components]
+    order = sorted(range(len(blocks)), key=lambda k: len(blocks[k][0]))
+    results: list = [None] * len(blocks)
+    start = 0
+    while start < len(order):
+        stop, smallest = start + 1, len(blocks[order[start]][0])
+        while stop < len(order) and len(blocks[order[stop]][0]) ** 2 <= 2 * smallest**2:
+            stop += 1
+        bucket = [blocks[k] for k in order[start:stop]]
+        if len(bucket) < STACK_MIN:
+            out = [average_link(ids, scores, merge_threshold) for ids, scores in bucket]
+        else:
+            out = average_link_blocks(bucket, merge_threshold)
+        for k, result in zip(order[start:stop], out):
+            results[k] = result
+        start = stop
+    return results
+
+
 def generate_training_pairs(
     gold: Partition, negative_ratio: int = 20, seed: int = 0
 ) -> list[tuple[str, str, int]]:
@@ -318,7 +355,7 @@ def read_score_file(path) -> ScoreTable:
             raise SchemaError(f"{path}:{lineno}: score must be a number")
         try:
             add(m1, m2, score)
-        except (ValueError, OverflowError) as e:
+        except ValueError as e:
             raise SchemaError(f"{path}:{lineno}: {e}") from e
     return ScoreTable._from_rows(rows, default)
 

@@ -316,17 +316,21 @@ def _expect_object(obj, where: str) -> None:
 
 
 def _require(obj: Mapping, key: str, kind: type, where: str, default=_REQUIRED):
-    """Field `key` of `obj` (a Mapping) as exactly a `kind`; an int in float
-    range also reads as a float. `where` names `obj` in messages ("" for a
-    file's top level). A field with a `default` may be absent or null."""
+    """Field `key` of `obj` (a Mapping) as exactly a `kind`; an int also
+    reads as a float, and is out of range beyond the float range. `where`
+    names `obj` in messages ("" for a file's top level). A field with a
+    `default` may be absent or null."""
     value = obj.get(key)
     if value is None and default is not _REQUIRED:
         return default
     if type(value) is kind:
         return value
-    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
-        return float(value)
-    problem = "missing field" if key not in obj else f"expected {_KINDS[kind]}"
+    if kind is float and type(value) is int:
+        if abs(value) <= sys.float_info.max:  # exact for an int of any size
+            return float(value)
+        problem = "out of range"
+    else:
+        problem = "missing field" if key not in obj else f"expected {_KINDS[kind]}"
     raise SchemaError(f"{where}.{key}: {problem}" if where else f"{key}: {problem}")
 
 

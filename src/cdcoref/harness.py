@@ -30,7 +30,7 @@ import numpy as np
 from .clustering import (
     ClusteringConfig,
     ScoreTable,
-    agglomerative_cluster_trace,
+    cluster_components,
     combine_pair_score,
     prune_spans,
     read_mention_scores,
@@ -295,10 +295,17 @@ def build_response(
             for m in pool
         ]
 
+    units = evaluation_units(corpus, config)
+    unit_of_doc = {d: u for u, (_, doc_ids) in enumerate(units) for d in doc_ids}
+    members: list[list[Mention]] = [[] for _ in units]
+    for m in pool:
+        if m.doc_id in unit_of_doc:
+            members[unit_of_doc[m.doc_id]].append(m)
+
     response_clusters: list[frozenset] = []
     response_mentions: list[Mention] = []
-    for _, doc_ids in evaluation_units(corpus, config):
-        unit = [m for m in pool if m.doc_id in doc_ids]
+    components = []  # of every unit: no merge crosses a unit
+    for (_, doc_ids), unit in zip(units, members):
         if config.mention_source == "predicted":
             unit = prune_spans(
                 unit, config.clustering.prune_ratio, corpus.token_count(doc_ids)
@@ -307,17 +314,15 @@ def build_response(
             continue
         response_mentions.extend(unit)
         unit = sorted(unit, key=lambda m: m.mention_id)
-        # the unit's pair arrays are freed before any engine call
-        singletons, components = _component_arrays(
+        # the unit's pair arrays are freed before the next unit's are built
+        singletons, unit_components = _component_arrays(
             unit,
             *_combined_scores(unit, pair_scores, config.clustering, config.apply_sigmoid),
         )
         response_clusters.extend(singletons)
-        for mentions, scores in components:
-            part, _ = agglomerative_cluster_trace(
-                mentions, scores, config.clustering.merge_threshold
-            )
-            response_clusters.extend(part.clusters)
+        components.extend(unit_components)
+    for clusters, _ in cluster_components(components, config.clustering.merge_threshold):
+        response_clusters.extend(clusters)
     return Partition(response_clusters), response_mentions
 
 

@@ -56,9 +56,12 @@ def average_link(
     which only the entries above the diagonal are read. Scores of -inf are
     allowed and act as "never merge"; NaN and +inf are rejected. Returns
     the final clusters (canonically sorted) and the ordered merge log.
-    The pipeline calls this once per connected component of a unit's
-    scored-pair graph, with an array over that component's members only:
-    no merge can join two components, whose cross scores are all -inf.
+    The pipeline clusters each connected component of a unit's scored-pair
+    graph on its own, as no merge can join two components, whose cross
+    scores are all -inf. It buckets the components of all units by size
+    and calls this once per component of a bucket too small to stack;
+    larger buckets run through `average_link_blocks`, which gives the same
+    results.
 
     Clusters live in slots of two n x n float64 matrices (16 n^2 bytes:
     5 MB at n = 560, 144 MB at n = 3,000): cluster-pair score sums and,
@@ -84,8 +87,9 @@ def average_link(
         return [frozenset([x]) for x in ids], []
 
     avg = np.where(np.tri(n, dtype=bool), NEG_INF, sums)
-    best = avg.max(axis=1)
+    # the first best entry itself, not max(), which may give 0.0 for -0.0
     partner = avg.argmax(axis=1)
+    best = avg[np.arange(n), partner]
     size = np.ones(n, dtype=np.int64)
     clusters: list[frozenset | None] = [frozenset([x]) for x in ids]
     merges: list[Merge] = []
@@ -127,3 +131,115 @@ def average_link(
 
     final = [c for c in clusters if c is not None]
     return final, merges
+
+
+def _reject(ids: list[list], blocks: Sequence[tuple[Sequence, np.ndarray]]) -> None:
+    """Raise the error of the first block that `average_link` rejects."""
+    for block, (_, pair_score) in zip(ids, blocks):
+        if len(set(block)) != len(block):
+            raise ValueError("duplicate items")
+        _score_matrix(block, pair_score)
+
+
+def average_link_blocks(
+    blocks: Sequence[tuple[Sequence, np.ndarray]], threshold: float
+) -> list[tuple[list[frozenset], list[Merge]]]:
+    """`average_link(items, pair_score, threshold)` for each (items,
+    pair_score) block, in block order, with the blocks run in lock-step.
+
+    The blocks are padded with -inf to the largest one, n, and stacked
+    into (B, n, n) sums and averages and (B, n) best, partner and size
+    arrays. Each step merges, in every block whose best average is >=
+    threshold, that block's own next pair, with one set of array calls for
+    all of them, so the Python loop runs once per merge of the deepest
+    block rather than once per merge. Per block, the sums S[a] + S[b], the
+    averages sum / (|A| |B|), the tie rule and the rescan of rows whose
+    cached partner was merged are `average_link`'s, so every result is
+    equal to it, merge log included; the logs are rebuilt from the merged
+    slots after the loop. Errors are those of the first block that
+    `average_link` rejects. A step costs about as much as a few
+    single-block merges, and padding costs B n^2 cells against the blocks'
+    sum of m^2, so this pays for several blocks of similar sizes.
+    """
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite")
+    ids = [sorted(items) for items, _ in blocks]
+    count, n = len(ids), max(map(len, ids), default=0)
+    sums = np.full((count, n, n), NEG_INF)
+    for k, (block, (_, pair_score)) in enumerate(zip(ids, blocks)):
+        scores = np.asarray(pair_score, dtype=np.float64)
+        if scores.shape != (len(block), len(block)) or len(set(block)) != len(block):
+            _reject(ids, blocks)
+        sums[k, : len(block), : len(block)] = scores
+    # what _score_matrix does per block, on the whole stack
+    np.copyto(sums, sums.transpose(0, 2, 1), where=np.tri(n, k=-1, dtype=bool))
+    sums[:, np.arange(n), np.arange(n)] = NEG_INF
+    if (np.isnan(sums) | (sums == np.inf)).any():
+        _reject(ids, blocks)
+    clusters = [[frozenset([x]) for x in block] for block in ids]
+    merges: list[list[Merge]] = [[] for _ in ids]
+    if n < 2:
+        return list(zip(clusters, merges))
+
+    # averages on both sides of the diagonal, which saves masking them: a
+    # block's first row that holds its best average has every pair at that
+    # average to its right, so the merge chosen is still average_link's
+    avg = sums.copy()
+    # flat views: slot a of block k is row k * n + a
+    flat_sums, flat_avg = sums.reshape(-1, n), avg.reshape(-1, n)
+    partner = avg.argmax(axis=2)
+    best = np.take_along_axis(avg, partner[:, :, None], axis=2)[:, :, 0]
+    for k, block in enumerate(ids):
+        partner[k, len(block) :] = -1  # padding, never stale
+    size = np.ones((count, n))  # exact: products of sizes stay below 2^53
+    flat_best, flat_partner, flat_size = best.ravel(), partner.ravel(), size.ravel()
+    slots = np.arange(count * n).reshape(count, n)
+    blocks_at = np.arange(count)
+    log = []  # per step: blocks, slots a and b, averages
+
+    while True:
+        a = best.argmax(axis=1)
+        k = np.flatnonzero(best[blocks_at, a] >= threshold)
+        if not k.size:
+            break
+        a = a[k]
+        rows = slots[k]
+        ra = rows[blocks_at[: len(k)], a]
+        b = flat_partner[ra]
+        rb = ra - a + b
+        log.append((k, a, b, flat_best[ra]))
+        flat_size[ra] += flat_size[rb]
+
+        # the -inf diagonals, dead slots and padding keep row and column a
+        # at -inf where they meet them; a dead slot's own row is never read
+        row = flat_sums[ra] + flat_sums[rb]
+        flat_sums[ra] = row
+        sums[k, :, a] = row
+        sums[k, :, b] = NEG_INF
+        means = row / (flat_size[ra][:, None] * size[k])
+        flat_avg[ra] = means
+        avg[k, :, a] = means
+        avg[k, :, b] = NEG_INF
+
+        head_best, head_partner = flat_best[rows], flat_partner[rows]
+        a_col = a[:, None]
+        stale = (head_partner == a_col) | (head_partner == b[:, None])
+        # rows whose best survived: the new column a may beat it
+        better = (means > head_best) | ((means == head_best) & (head_partner > a_col))
+        flat_best[rows] = np.where(better, means, head_best)
+        flat_partner[rows] = np.where(better, a_col, head_partner)
+        # a is stale itself, as partner[a] == b; b is dead
+        stale[blocks_at[: len(k)], b] = False
+        flat_best[rb] = NEG_INF
+        flat_partner[rb] = -1
+        rows = rows[stale]
+        flat_partner[rows] = flat_avg[rows].argmax(axis=1)
+        flat_best[rows] = flat_avg[rows, flat_partner[rows]]
+
+    for step in log:
+        for k, a, b, score in zip(*(column.tolist() for column in step)):
+            block = clusters[k]
+            merges[k].append(Merge(block[a], block[b], score))
+            block[a] = block[a] | block[b]
+            block[b] = None
+    return [([c for c in block if c is not None], log_k) for block, log_k in zip(clusters, merges)]

@@ -157,6 +157,25 @@ def test_scores_beyond_the_bound_are_out_of_range(tmp_path, literal):
     assert list(ScoreTable({("a", "b"): float(literal)}).items()) == [(("a", "b"), float(literal))]
 
 
+def test_an_int_beyond_the_float_range_is_out_of_range_wherever_a_score_is_read(tmp_path):
+    # compared as an int, never converted: no "int too large to convert"
+    literal = "9" * 400
+    path = tmp_path / "scores.jsonl"
+    for rows, error in [
+        ([f'{{"m1": "a", "m2": "c", "score": -{literal}}}', '{"m1": "b", "m2": "b", "score": 1}'],
+         "1: score for ('a', 'c') out of range"),
+        ([f'{{"default": {literal}}}'], "1: default out of range"),
+    ]:
+        write_lines(path, rows)
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:{error}')}$"):
+            read_score_file(path)
+    write_lines(path, [f'{{"mention_id": "a", "score": {literal}}}'])
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:1: score out of range$"):
+        read_mention_scores(path)
+    with pytest.raises(ValueError, match=r"^score for \('a', 'b'\) out of range$"):
+        ScoreTable({("a", "b"): int(literal)})
+
+
 def test_scores_at_the_bound_are_read(tmp_path):
     path = tmp_path / "scores.jsonl"
     write_lines(path, [{"default": -SCORE_BOUND}, {"m1": "a", "m2": "b", "score": SCORE_BOUND}])

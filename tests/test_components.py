@@ -62,18 +62,28 @@ def corpus_config(threshold, gold_mode=True, sigmoid=False) -> EvalConfig:
 
 @contextlib.contextmanager
 def linkage_calls():
-    """The items of every `average_link` call the pipeline makes."""
-    calls, original = [], cdcoref.clustering.average_link
+    """The items of every block that the pipeline hands to either engine,
+    `average_link` or the lock-step `average_link_blocks`, sorted by their
+    smallest item, as blocks of one bucket run in size order."""
+    calls = []
+    one, stacked = cdcoref.clustering.average_link, cdcoref.clustering.average_link_blocks
 
     def recording(items, scores, threshold):
         calls.append(frozenset(items))
-        return original(items, scores, threshold)
+        return one(items, scores, threshold)
+
+    def recording_blocks(blocks, threshold):
+        calls.extend(frozenset(items) for items, _ in blocks)
+        return stacked(blocks, threshold)
 
     cdcoref.clustering.average_link = recording
+    cdcoref.clustering.average_link_blocks = recording_blocks
     try:
         yield calls
     finally:
-        cdcoref.clustering.average_link = original
+        cdcoref.clustering.average_link = one
+        cdcoref.clustering.average_link_blocks = stacked
+        calls.sort(key=min)
 
 
 def oracle_components(ids, pairs) -> list[frozenset]:
@@ -235,11 +245,15 @@ GUARD = """
 import json, sys
 import cdcoref.clustering
 from cdcoref.cli import main
-calls, original = [], cdcoref.clustering.average_link
+calls, one, stacked = [], cdcoref.clustering.average_link, cdcoref.clustering.average_link_blocks
 def recording(items, scores, threshold):
     calls.append(len(items))
-    return original(items, scores, threshold)
+    return one(items, scores, threshold)
+def recording_blocks(blocks, threshold):
+    calls.extend(len(items) for items, _ in blocks)
+    return stacked(blocks, threshold)
 cdcoref.clustering.average_link = recording
+cdcoref.clustering.average_link_blocks = recording_blocks
 configs, key, response = json.loads(sys.argv[1])
 codes = [main(["pipeline", "--config", config]) for config in configs]
 codes += [main(["evaluate", "--key", key, "--response", response, "--singletons", flag])

@@ -64,8 +64,8 @@ def fuzz_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("score, problem", [
     (float("inf"), "must be finite"), (float("nan"), "must be finite"),
-    (-1e300, "out of range"),
-], ids=["Infinity", "NaN", "-1e300"])
+    (-1e300, "out of range"), (-int("9" * 400), "out of range"),
+], ids=["Infinity", "NaN", "-1e300", "400 digits"])
 def test_corpus_mention_score_fails_at_load(tmp_path, score, problem):
     # a gold-mention run that combines mention scores reads the corpus's own
     rows = [{**CORPUS["mentions"][0], "score": score}, *CORPUS["mentions"][1:]]
@@ -85,6 +85,10 @@ def test_candidate_score_beyond_the_bound_fails_at_load(tmp_path):
     rows = CANDIDATES["mentions"]
     path = write_json(tmp_path / "cands.json",
                       {"mentions": [rows[0], {**rows[1], "score": 1e300}, *rows[2:]]})
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: mentions[1].score: out of range")):
+        load_candidates(path)
+    path = write_json(tmp_path / "cands.json",
+                      {"mentions": [rows[0], {**rows[1], "score": int("9" * 400)}, *rows[2:]]})
     with pytest.raises(SchemaError, match=re.escape(f"{path}: mentions[1].score: out of range")):
         load_candidates(path)
     # a score that is not finite is left to prune_spans, which names the candidate

@@ -85,3 +85,17 @@ def test_negative_zero_scores_stay_negative_zero():
     _, merges = average_link("abc", scores, -1.0)
     assert [m.score for m in merges] == [1.0, 0.0]
     assert math.copysign(1.0, merges[1].score) == -1.0
+
+
+def test_a_first_best_of_negative_zero_is_logged_as_negative_zero():
+    # a's first best is the -0.0 with b, which ties the 0.0 with c: the
+    # merge takes b and logs that pair's -0.0, as the heap does, whatever
+    # zero max() of the row would return
+    scores = np.full((3, 3), NEG_INF)
+    scores[0, 1], scores[0, 2], scores[1, 2] = -0.0, 0.0, -5.0
+    rank = {x: k for k, x in enumerate("abc")}
+    want = heap_average_link("abc", lambda p, q: float(scores[rank[p], rank[q]]), -1.0)
+    assert want[1] == [Merge(frozenset("a"), frozenset("b"), -0.0)]
+    _, merges = average_link("abc", scores, -1.0)
+    assert [(m.left, m.right, repr(m.score)) for m in merges] == [
+        (m.left, m.right, repr(m.score)) for m in want[1]]

@@ -146,7 +146,8 @@ class TestScoreFileErrors:
             read_score_file(path)
         write_lines(path, ['{"m1": "a", "m2": "c", "score": %s}' % ("9" * 400),
                            '{"m1": "b", "m2": "b", "score": 1}'])
-        with pytest.raises(SchemaError, match="int too large to convert to float"):
+        # compared as an int, as a default or a mention score is
+        with pytest.raises(SchemaError, match=r"scores\.jsonl:1: score for \('a', 'c'\) out of range$"):
             read_score_file(path)
 
 
