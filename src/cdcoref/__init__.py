@@ -4,7 +4,6 @@ from .baselines import head_lemma_baseline, singleton_baseline
 from .clustering import (
     ClusteringConfig,
     ScoreTable,
-    agglomerative_cluster_trace,
     combine_pair_score,
     generate_training_pairs,
     prune_spans,

@@ -19,8 +19,11 @@ from .linkage import Merge, average_link, average_link_blocks
 
 NEVER_MERGE = float("-inf")
 # the fewest components of similar size that run in lock-step: a lock-step
-# step costs about as much as four one-block merges, and stacking three
-# dense 200-mention components gained nothing
+# step costs about as much as four cached one-block merges. Against the
+# scan that runs blocks of up to linkage.SCAN_MAX items one by one, B
+# equal blocks of 12 to 200 items take 1.4-1.9 times as long in lock-step
+# at B = 4 and about as long at B = 12 (BENCH_21.json `stack_cutoff`);
+# it stays 4 until the lock-step engine drops its row-best caches too
 STACK_MIN = 4
 
 
@@ -28,9 +31,10 @@ class ScoreTable:
     """Symmetric pairwise scores keyed by unordered mention-id pairs.
 
     Absent pairs fall back to `default`, which is -inf ("never merge")
-    unless configured otherwise. Entries must be finite and self-pairs are
-    rejected, each checked as it is added, so the first bad entry raises (a
-    score before its ids). The table is not mutated after construction.
+    unless configured otherwise. Entries must be finite numbers (a bool or
+    a string is not one) and self-pairs are rejected, each checked as it is
+    added, so the first bad entry raises (a score before its ids). The
+    table is not mutated after construction.
 
     Storage holds no object per entry. The n ids are coded by their rank
     in sorted order; an entry is the key `lo * n + hi` of its two codes
@@ -93,9 +97,10 @@ class _PairRows:
     """(m1, m2, score) rows checked and coded as they arrive, into flat
     arrays: ids get codes in first-seen order and scores become floats,
     with no object kept per row. A bad row raises as it is added: first a
-    score that is not a float of magnitude at most `bound` (one that is not
-    finite, then one out of range, an int of any size compared exactly),
-    then a self-pair."""
+    score that is not a number (a bool or a string is not), then one that
+    is not a float of magnitude at most `bound` (one that is not finite,
+    then one out of range, an int of any size compared exactly), then a
+    self-pair."""
 
     __slots__ = ("codes", "left", "right", "scores", "bound")
 
@@ -111,6 +116,12 @@ class _PairRows:
         left, right = codes.setdefault(a, len(codes)), codes.setdefault(b, len(codes))
         bound = self.bound
         if type(score) is not int:
+            # exact types first: cheaper than isinstance on large files
+            if type(score) is not float and (
+                isinstance(score, bool)
+                or not isinstance(score, (int, float, np.integer, np.floating))
+            ):
+                raise ValueError("score must be a number")
             score = float(score)
         if not -bound <= score <= bound:
             finite = type(score) is int or math.isfinite(score)
@@ -253,24 +264,11 @@ def combine_pair_score(
     return mention_score_i + mention_score_j + pair_score
 
 
-def agglomerative_cluster_trace(
-    mentions: Sequence[Mention], scores: np.ndarray, merge_threshold: float
-) -> tuple[Partition, list[Merge]]:
-    """Average-link clustering of mentions; also returns the merge log.
-
-    `scores` is an (n, n) score array over the sorted mention ids. Every
-    accepted merge in the log had average score >= merge_threshold at merge
-    time.
-    """
-    final, merges = average_link([m.mention_id for m in mentions], scores, merge_threshold)
-    return Partition(final), merges
-
-
 def cluster_components(
     components: Sequence[tuple[Sequence[Mention], np.ndarray]], merge_threshold: float
 ) -> list[tuple[list[frozenset], list[Merge]]]:
-    """`average_link` on each (mentions, scores) component, as
-    `agglomerative_cluster_trace` takes them: the final clusters and merge
+    """`average_link` on each (mentions, scores) component, `scores` an
+    (m, m) array over the sorted mention ids: the final clusters and merge
     log of each, in input order. Components are bucketed by size, a bucket
     running from its smallest component up to sqrt(2) times as many
     mentions, so that padding keeps it within twice its own sum of m^2
@@ -350,9 +348,6 @@ def read_score_file(path) -> ScoreTable:
             raise SchemaError(f"{path}:{lineno}: missing field {e.args[0]!r}") from None
         if not (isinstance(m1, str) and isinstance(m2, str)):
             raise SchemaError(f"{path}:{lineno}: m1 and m2 must be mention id strings")
-        # exact types reject bool; cheaper than isinstance on large files
-        if type(score) is not float and type(score) is not int:
-            raise SchemaError(f"{path}:{lineno}: score must be a number")
         try:
             add(m1, m2, score)
         except ValueError as e:

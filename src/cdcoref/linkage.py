@@ -9,6 +9,11 @@ from typing import Sequence
 import numpy as np
 
 NEG_INF = -np.inf
+# the most items that `average_link` clusters by a full argmax per merge
+# rather than by cached row bests: on 0.05-grid blocks the scan takes
+# 0.7-0.8 of the cached loop's time at n = 256, 0.8-0.95 at 320 and
+# 1.1-1.2 at 400 (scripts/linkage_crossover.py)
+SCAN_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -64,16 +69,32 @@ def average_link(
     results.
 
     Clusters live in slots of two n x n float64 matrices (16 n^2 bytes:
-    5 MB at n = 560, 144 MB at n = 3,000): cluster-pair score sums and,
-    above the diagonal, their averages. A merge keeps the lower slot, so a
-    slot's index is the rank of its cluster's smallest member. Sums update
-    as S[a] + S[b] and averages are sum / (|A| |B|), the same floats a
-    per-pair priority queue computes. Each row caches its best average
-    and first best column, and the next merge is the first maximum over
-    rows: the tie rule above. Filling the matrices costs O(n^2); a merge
-    costs O(n) plus O(n) per row whose cached best partner was one of the
-    merged slots, the "generic" nearest-neighbour scheme of Muellner 2011
-    (O(n^3) worst case, close to O(n^2) in practice).
+    5 MB at n = 560, 144 MB at n = 3,000): cluster-pair score sums and
+    their averages. A merge keeps the lower slot, so a slot's index is the
+    rank of its cluster's smallest member. Sums update as S[a] + S[b] and
+    averages are sum / (|A| |B|), the same floats a per-pair priority
+    queue computes. Filling the matrices costs O(n^2). Two loops then give
+    the same merges:
+
+    - up to SCAN_MAX items, averages are kept on both sides of the
+      diagonal and each merge is the first maximum of the whole matrix in
+      row-major order. The mirror of a pair lies in a later row, so that
+      is the first row holding the best average, at its first such column:
+      the tie rule above. A merge costs one O(n^2) argmax and eight O(n)
+      array calls, with no bookkeeping.
+    - above SCAN_MAX, averages are kept above the diagonal, each row
+      caches its best average and first best column, and the next merge
+      is the first maximum over rows. A merge costs O(n) plus O(n) per row
+      whose cached best partner was one of the merged slots, the "generic"
+      nearest-neighbour scheme of Muellner 2011 (O(n^3) worst case, close
+      to O(n^2) in practice), but some 35 array calls.
+
+    At the sizes the pipeline meets, both loops are bound by numpy's
+    per-call overhead, so the scan wins: it takes about 0.4 of the cached
+    loop's time at n = 96, half at 160 and three quarters at 256. Its
+    O(n^2) argmax catches up at 350 to 400 items, and it takes twice as
+    long at 512 and 4.5 times as long at 800; `scripts/linkage_crossover.py`
+    measures the crossover.
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
@@ -81,27 +102,74 @@ def average_link(
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate items")
     ids.sort()
-    n = len(ids)
     sums = _score_matrix(ids, pair_score)
-    if n < 2:
-        return [frozenset([x]) for x in ids], []
+    if len(ids) < 2:
+        log = []
+    elif len(ids) <= SCAN_MAX:
+        log = _scan_merges(sums, threshold)
+    else:
+        log = _cached_merges(sums, threshold)
+    return _replay(ids, log)
 
+
+def _replay(
+    ids: list, log: Sequence[tuple[int, int, float]]
+) -> tuple[list[frozenset], list[Merge]]:
+    """The final clusters and merge log of merging slot b into slot a, for
+    each (a, b, average) of `log`, starting from one slot per id."""
+    clusters: list[frozenset | None] = [frozenset([x]) for x in ids]
+    merges: list[Merge] = []
+    for a, b, score in log:
+        merges.append(Merge(clusters[a], clusters[b], score))
+        clusters[a] = clusters[a] | clusters[b]
+        clusters[b] = None
+    return [c for c in clusters if c is not None], merges
+
+
+def _scan_merges(sums: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
+    """`average_link`'s merges by one argmax over all averages per merge."""
+    n = len(sums)
+    avg = sums.copy()
+    flat = avg.reshape(-1)
+    size = np.ones(n)  # exact: products of sizes stay below 2^53
+    scale = np.empty(n)
+    log = []
+    while True:
+        cell = int(flat.argmax())
+        score = float(flat[cell])
+        if score < threshold:
+            break
+        a, b = divmod(cell, n)
+        log.append((a, b, score))
+        size[a] += size[b]
+        # -inf diagonal and dead slots keep row[a] and row[b] at -inf; the
+        # row of a dead slot is never read again
+        row = np.add(sums[a], sums[b], out=sums[a])
+        sums[:, a] = row
+        sums[:, b] = NEG_INF
+        means = np.divide(row, np.multiply(size, size[a], out=scale), out=avg[a])
+        avg[:, a] = means
+        avg[b] = NEG_INF
+        avg[:, b] = NEG_INF
+    return log
+
+
+def _cached_merges(sums: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
+    """`average_link`'s merges by cached row-best averages and partners."""
+    n = len(sums)
     avg = np.where(np.tri(n, dtype=bool), NEG_INF, sums)
     # the first best entry itself, not max(), which may give 0.0 for -0.0
     partner = avg.argmax(axis=1)
     best = avg[np.arange(n), partner]
     size = np.ones(n, dtype=np.int64)
-    clusters: list[frozenset | None] = [frozenset([x]) for x in ids]
-    merges: list[Merge] = []
+    log = []
 
     while True:
         a = int(best.argmax())
         if best[a] < threshold:
             break
         b = int(partner[a])
-        merges.append(Merge(clusters[a], clusters[b], float(best[a])))
-        clusters[a] = clusters[a] | clusters[b]
-        clusters[b] = None
+        log.append((a, b, float(best[a])))
         size[a] += size[b]
 
         # -inf diagonal and dead slots keep row[a] and row[b] at -inf
@@ -128,9 +196,7 @@ def average_link(
         rows = stale[stale != b]
         partner[rows] = avg[rows].argmax(axis=1)
         best[rows] = avg[rows, partner[rows]]
-
-    final = [c for c in clusters if c is not None]
-    return final, merges
+    return log
 
 
 def _reject(ids: list[list], blocks: Sequence[tuple[Sequence, np.ndarray]]) -> None:
@@ -154,12 +220,13 @@ def average_link_blocks(
     all of them, so the Python loop runs once per merge of the deepest
     block rather than once per merge. Per block, the sums S[a] + S[b], the
     averages sum / (|A| |B|), the tie rule and the rescan of rows whose
-    cached partner was merged are `average_link`'s, so every result is
-    equal to it, merge log included; the logs are rebuilt from the merged
-    slots after the loop. Errors are those of the first block that
-    `average_link` rejects. A step costs about as much as a few
-    single-block merges, and padding costs B n^2 cells against the blocks'
-    sum of m^2, so this pays for several blocks of similar sizes.
+    cached partner was merged are those of `average_link`'s cached loop,
+    so every result is equal to it, merge log included; the logs are
+    rebuilt from the merged slots after the loop. Errors are those of the
+    first block that `average_link` rejects. A step costs about as much as
+    a few cached single-block merges, and padding costs B n^2 cells
+    against the blocks' sum of m^2, so this pays for several blocks of
+    similar sizes.
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
@@ -176,10 +243,9 @@ def average_link_blocks(
     sums[:, np.arange(n), np.arange(n)] = NEG_INF
     if (np.isnan(sums) | (sums == np.inf)).any():
         _reject(ids, blocks)
-    clusters = [[frozenset([x]) for x in block] for block in ids]
-    merges: list[list[Merge]] = [[] for _ in ids]
+    logs: list[list] = [[] for _ in ids]
     if n < 2:
-        return list(zip(clusters, merges))
+        return [_replay(block, []) for block in ids]
 
     # averages on both sides of the diagonal, which saves masking them: a
     # block's first row that holds its best average has every pair at that
@@ -238,8 +304,5 @@ def average_link_blocks(
 
     for step in log:
         for k, a, b, score in zip(*(column.tolist() for column in step)):
-            block = clusters[k]
-            merges[k].append(Merge(block[a], block[b], score))
-            block[a] = block[a] | block[b]
-            block[b] = None
-    return [([c for c in block if c is not None], log_k) for block, log_k in zip(clusters, merges)]
+            logs[k].append((a, b, score))
+    return [_replay(block, log_k) for block, log_k in zip(ids, logs)]

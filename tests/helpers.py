@@ -16,6 +16,7 @@ the array-backed `cdcoref.ScoreTable`.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import json
@@ -40,6 +41,7 @@ from cdcoref import (
     ScoreTable,
     average_link,
     cosine,
+    linkage,
     optimal_alignment,
 )
 
@@ -151,10 +153,26 @@ def _pair_key(a, b) -> tuple:
 
 
 def _checked_score(score, a, b) -> float:
+    if isinstance(score, bool) or not isinstance(score, (int, float, np.number)):
+        raise ValueError("score must be a number")
     score = float(score)
     if not math.isfinite(score):
         raise ValueError(f"score for ({a!r}, {b!r}) must be finite, got {score!r}")
     return score
+
+
+def mention_clusters(
+    mentions: Sequence[Mention], scores: np.ndarray, threshold: float
+) -> tuple[Partition, list[Merge]]:
+    """`average_link` over the mentions' ids, `scores` an (n, n) array over
+    the sorted ids: the clusters as a Partition of every mention, and the
+    merge log, each of whose merges averaged at least `threshold`."""
+    ids = [m.mention_id for m in mentions]
+    clusters, merges = average_link(ids, scores, threshold)
+    assert sorted(x for c in clusters for x in c) == sorted(ids)
+    assert all(m.score >= threshold for m in merges)
+    assert len(merges) == len(ids) - len(clusters)
+    return Partition(clusters), merges
 
 
 def exhaustive_alignment_total(matrix) -> float:
@@ -268,6 +286,40 @@ def heap_average_link(
 
     final = sorted(clusters.values(), key=lambda c: sorted(c))
     return final, merges
+
+
+# SCAN_MAX values that force `average_link`'s cached loop on every block
+# (0) and its scan on every block a test builds
+SCAN_CAPS = (0, sys.maxsize)
+
+
+@contextlib.contextmanager
+def scan_max(cap: int):
+    """Run the body with `linkage.SCAN_MAX` set to `cap`."""
+    saved, linkage.SCAN_MAX = linkage.SCAN_MAX, cap
+    try:
+        yield
+    finally:
+        linkage.SCAN_MAX = saved
+
+
+def traced(result) -> tuple[list[frozenset], list[tuple]]:
+    """Clusters and merge log, with each score as its repr, so that scores
+    compare bitwise and -0.0 differs from 0.0."""
+    clusters, merges = result
+    return clusters, [(m.left, m.right, repr(m.score)) for m in merges]
+
+
+def both_loops(items, pair_score, threshold) -> tuple[list[frozenset], list[Merge]]:
+    """`average_link` under each of SCAN_CAPS, whose results must be equal,
+    scores bitwise; returns that result."""
+    results = []
+    for cap in SCAN_CAPS:
+        with scan_max(cap):
+            results.append(average_link(items, pair_score, threshold))
+    cached, scanned = results
+    assert traced(cached) == traced(scanned)
+    return scanned
 
 
 def _muc_side(a: Partition, b: Partition) -> tuple[int, int]:

@@ -24,7 +24,6 @@ import pytest
 from cdcoref import (
     Mention,
     Partition,
-    agglomerative_cluster_trace,
     average_link,
     b_cubed,
     ceaf_e,
@@ -58,6 +57,7 @@ from helpers import (
     dyadic_score_table,
     exhaustive_alignment_total,
     lemma_score_table,
+    mention_clusters,
     random_partition_pair,
     random_same_universe_pair,
     score_lookup,
@@ -282,7 +282,7 @@ def test_criterion_5_lemma_clustering_equals_baseline():
         ]
         ids = sorted(m.mention_id for m in mentions)
         scores = score_matrix(lemma_score_table(mentions), ids)
-        clustered = agglomerative_cluster_trace(mentions, scores, 0.5)[0]
+        clustered = mention_clusters(mentions, scores, 0.5)[0]
         assert clustered == head_lemma_baseline(mentions)
 
 

@@ -8,11 +8,10 @@ from cdcoref import (
     Mention,
     Partition,
     SchemaError,
-    agglomerative_cluster_trace,
     head_lemma_baseline,
     singleton_baseline,
 )
-from helpers import lemma_score_table, score_matrix
+from helpers import lemma_score_table, mention_clusters, score_matrix
 
 
 def lemma_mention(mid, lemma):
@@ -53,5 +52,5 @@ class TestLemmaScorer:
             ids = sorted(m.mention_id for m in mentions)
             scores = score_matrix(lemma_score_table(mentions), ids)
             for threshold in (0.25, 0.5, 1.0):
-                clustered = agglomerative_cluster_trace(mentions, scores, threshold)[0]
+                clustered = mention_clusters(mentions, scores, threshold)[0]
                 assert clustered == head_lemma_baseline(mentions)

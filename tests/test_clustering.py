@@ -14,7 +14,6 @@ from cdcoref import (
     Partition,
     SchemaError,
     ScoreTable,
-    agglomerative_cluster_trace,
     average_link,
     combine_pair_score,
     generate_training_pairs,
@@ -27,6 +26,7 @@ from cdcoref import (
 from helpers import (
     brute_force_average_link,
     dyadic_score_table,
+    mention_clusters,
     score_lookup,
     score_matrix,
 )
@@ -66,6 +66,14 @@ class TestScoreTable:
         for bad in (INF, -INF, float("nan")):
             with pytest.raises(ValueError, match="finite"):
                 ScoreTable({("a", "b"): bad})
+
+    def test_entry_that_is_not_a_number_rejected(self):
+        # the rule read_score_file applies to a row: "0.5" and true are not numbers
+        for bad in ("0.5", True, False, None):
+            with pytest.raises(ValueError, match="^score must be a number$"):
+                ScoreTable({("a", "b"): bad})
+        t = ScoreTable({("a", "b"): np.float64(0.5), ("a", "c"): np.float32(0.25)})
+        assert list(t.items()) == [(("a", "b"), 0.5), (("a", "c"), 0.25)]
 
     def test_nan_default_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -238,7 +246,7 @@ class TestAgglomerativeCluster:
     MENTIONS = [Mention(x, "d", i, i, "event") for i, x in enumerate("cab")]
 
     def test_accepts_mention_objects(self):
-        part, merges = agglomerative_cluster_trace(
+        part, merges = mention_clusters(
             self.MENTIONS, score_matrix(table(ab=0.9, ac=0.1, bc=0.2), "abc"), 0.5
         )
         assert part == Partition([["a", "b"], ["c"]])
@@ -246,7 +254,7 @@ class TestAgglomerativeCluster:
 
     def test_unscored_pairs_never_merge(self):
         scores = score_matrix(table(ab=0.9), "abc")
-        part, _ = agglomerative_cluster_trace(self.MENTIONS, scores, -1.0)
+        part, _ = mention_clusters(self.MENTIONS, scores, -1.0)
         assert part == Partition([["a", "b"], ["c"]])
 
 

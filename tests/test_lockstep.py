@@ -5,7 +5,8 @@
 each bucket to it or, below STACK_MIN blocks, block by block to
 `average_link`. Every block's clusters and merge log, scores compared by
 `repr` so that -0.0 stays -0.0, must be `heap_average_link`'s on that
-block alone.
+block alone, with `average_link` forced to each of its two loops and with
+its cap between two block sizes.
 """
 
 import numpy as np
@@ -17,18 +18,15 @@ import cdcoref.clustering
 from cdcoref import Mention, average_link
 from cdcoref.clustering import STACK_MIN, cluster_components
 from cdcoref.linkage import average_link_blocks
-from helpers import heap_average_link
+from helpers import SCAN_CAPS, heap_average_link, scan_max, traced
 
 NEG_INF = float("-inf")
 # 10 and 14 share a bucket (14^2 <= 2 * 10^2), 15 starts the next one
 SIZES = [0, 1, 2, 3, 4, 5, 7, 10, 14, 15, 20]
 THRESHOLDS = [-0.5, -0.2, 0.0, 0.05, 0.2, 0.65]
-
-
-def traced(result):
-    """Clusters and merge log, with each score as its repr."""
-    clusters, merges = result
-    return clusters, [(m.left, m.right, repr(m.score)) for m in merges]
+# the cached loop everywhere, the scan everywhere, and a cap that blocks of
+# 14 items are at and blocks of 15 one above
+CAPS = SCAN_CAPS + (14,)
 
 
 def oracle(ids, scores, threshold):
@@ -74,7 +72,9 @@ def test_every_block_equals_the_heap_oracle(blocks, threshold):
     for (ids, scores), result in zip(blocks, got):
         want = oracle(ids, scores, threshold)
         assert traced(result) == want
-        assert traced(average_link(ids, scores, threshold)) == want
+        for cap in CAPS:
+            with scan_max(cap):
+                assert traced(average_link(ids, scores, threshold)) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -94,19 +94,23 @@ def test_buckets_equal_the_heap_oracle_and_stack_only_at_the_cutoff(blocks, thre
         handed.extend(items[0] if items else None for items, _ in bucket)
         return many(bucket, threshold)
 
-    cdcoref.clustering.average_link = recording
-    cdcoref.clustering.average_link_blocks = recording_blocks
-    try:
-        got = cluster_components(components, threshold)
-    finally:
-        cdcoref.clustering.average_link = one
-        cdcoref.clustering.average_link_blocks = many
-    for (ids, scores), result in zip(blocks, got):
-        assert traced(result) == oracle(ids, scores, threshold)
-    # each block once, to one engine; a stacked bucket spans sizes within a
-    # factor sqrt(2), so it pads within twice its sum of m^2
-    assert sorted(handed, key=str) == sorted((min(ids) if ids else None for ids, _ in blocks),
-                                             key=str)
+    want = [oracle(ids, scores, threshold) for ids, scores in blocks]
+    for cap in CAPS:
+        handed.clear()
+        cdcoref.clustering.average_link = recording
+        cdcoref.clustering.average_link_blocks = recording_blocks
+        try:
+            with scan_max(cap):
+                got = cluster_components(components, threshold)
+        finally:
+            cdcoref.clustering.average_link = one
+            cdcoref.clustering.average_link_blocks = many
+        assert [traced(result) for result in got] == want
+        # each block once, to one engine
+        assert sorted(handed, key=str) == sorted(
+            (min(ids) if ids else None for ids, _ in blocks), key=str)
+    # a stacked bucket spans sizes within a factor sqrt(2), so it pads
+    # within twice its sum of m^2
     for sizes in stacked:
         assert len(sizes) >= STACK_MIN
         assert max(sizes) ** 2 <= 2 * min(sizes) ** 2
@@ -136,12 +140,14 @@ def test_errors_are_those_of_the_first_block_average_link_rejects():
         ([fine, twice, nan], "duplicate items"),
         ([fine, wide, nan], "score array has shape (3, 3), expected (2, 2)"),
     ]:
-        with pytest.raises(ValueError) as first:
-            for ids, scores in blocks:
-                average_link(ids, scores, 0.0)
         with pytest.raises(ValueError) as stacked:
             average_link_blocks(blocks, 0.0)
-        assert str(stacked.value) == str(first.value) == message
+        assert str(stacked.value) == message
+        for cap in SCAN_CAPS:
+            with scan_max(cap), pytest.raises(ValueError) as first:
+                for ids, scores in blocks:
+                    average_link(ids, scores, 0.0)
+            assert str(first.value) == message
     with pytest.raises(ValueError, match="threshold must be finite"):
         average_link_blocks([fine], float("nan"))
     assert average_link_blocks([], 0.0) == []

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,9 +26,11 @@ defaults = st.one_of(st.just(-INF), finite)
 @st.composite
 def pair_rows(draw, bad: bool = False):
     """(m1, m2, score) rows over a few ids, so pairs repeat in both orders;
-    with `bad`, self-pairs and non-finite scores too."""
+    with `bad`, self-pairs, non-finite scores and scores that are not
+    numbers too."""
     ids = st.sampled_from(IDS)
-    score = st.one_of(finite, st.sampled_from([INF, -INF, math.nan])) if bad else finite
+    odd = [INF, -INF, math.nan, "0.5", True, None]
+    score = st.one_of(finite, st.sampled_from(odd)) if bad else finite
     rows = draw(st.lists(st.tuples(ids, ids, score), max_size=25))
     return rows if bad else [(a, b, s) for a, b, s in rows if a != b]
 
@@ -93,18 +96,23 @@ class TestAgainstDictOracle:
         table = from_rows([("b", "a", 0.1), ("a", "c", 0.3), ("a", "b", 0.9)])
         assert list(table.items()) == [(("a", "b"), 0.9), (("a", "c"), 0.3)]
 
-    def test_unconvertible_score_raises_like_float(self):
-        assert raised(lambda: from_rows([("a", "b", "x")])) == (
-            ValueError, "could not convert string to float: 'x'")
-        assert list(from_rows([("a", "b", "0.5")]).items()) == [(("a", "b"), 0.5)]
+    def test_a_score_that_is_not_a_number_raises(self):
+        for score in ("x", "0.5", True, False, None, [1]):
+            assert raised(lambda: from_rows([("a", "b", score)])) == (
+                ValueError, "score must be a number")
+            assert raised(lambda: ScoreTable({("a", "b"): score})) == (
+                ValueError, "score must be a number")
+        # numpy scalars are numbers
+        table = from_rows([("a", "b", np.float64(0.5)), ("a", "c", np.int64(2))])
+        assert list(table.items()) == [(("a", "b"), 0.5), (("a", "c"), 2.0)]
 
 
 def first_bad_line(rows):
     """(line, message) of the first bad row in `rows` as a score file reads
     it, or None: a row's score is checked against the dict oracle's
-    finiteness rule and then `SCORE_BOUND`, before its ids."""
+    number and finiteness rules and then `SCORE_BOUND`, before its ids."""
     for line, (a, b, s) in enumerate(rows, start=1):
-        if math.isfinite(s) and abs(s) > SCORE_BOUND:
+        if isinstance(s, float) and math.isfinite(s) and abs(s) > SCORE_BOUND:
             return line, f"score for ({a!r}, {b!r}) out of range"
         error = raised(lambda: DictScoreTable.from_pairs([(a, b, s)]))
         if error is not None:

@@ -11,7 +11,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize(
     "script, args",
-    [("singleton_study.py", []), ("pipeline_demo.py", ["--out", "{tmp}"])],
+    [
+        ("singleton_study.py", []),
+        ("pipeline_demo.py", ["--out", "{tmp}"]),
+        ("linkage_crossover.py", ["--sizes", "6", "9", "--repeats", "1"]),
+    ],
 )
 def test_script_runs(tmp_path, script, args):
     path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
