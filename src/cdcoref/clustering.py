@@ -15,16 +15,16 @@ import numpy as np
 
 from .corpus import (SCORE_BOUND, Mention, Partition, SchemaError, _bounded_score, read_jsonl,
                      write_jsonl)
-from .linkage import Merge, average_link, average_link_blocks
+# average_link stays bound here for perfbench/spans.py, which traces it by name
+from .linkage import _clusters, _lockstep_merges, _merges, average_link
 
 NEVER_MERGE = float("-inf")
-# the fewest components of similar size that run in lock-step: a lock-step
-# step costs about as much as four cached one-block merges. Against the
-# scan that runs blocks of up to linkage.SCAN_MAX items one by one, B
-# equal blocks of 12 to 200 items take 1.4-1.9 times as long in lock-step
-# at B = 4 and about as long at B = 12 (BENCH_21.json `stack_cutoff`);
-# it stays 4 until the lock-step engine drops its row-best caches too
-STACK_MIN = 4
+# the fewest components of similar size that run in lock-step: against
+# the blocks one by one through the scan (linkage.SCAN_MAX), B equal dense
+# blocks of 24 to 50 items take 1.26-1.31 times as long in lock-step at
+# B = 8 and 0.95-1.05 at B = 12, and sparser or larger blocks still lose
+# at B = 16 (scripts/linkage_crossover.py --blocks; BENCH_22.json)
+STACK_MIN = 12
 
 
 class ScoreTable:
@@ -266,29 +266,31 @@ def combine_pair_score(
 
 def cluster_components(
     components: Sequence[tuple[Sequence[Mention], np.ndarray]], merge_threshold: float
-) -> list[tuple[list[frozenset], list[Merge]]]:
-    """`average_link` on each (mentions, scores) component, `scores` an
-    (m, m) array over the sorted mention ids: the final clusters and merge
-    log of each, in input order. Components are bucketed by size, a bucket
-    running from its smallest component up to sqrt(2) times as many
-    mentions, so that padding keeps it within twice its own sum of m^2
-    cells. A bucket of at least STACK_MIN components runs in lock-step
-    through `average_link_blocks`, a smaller one component by component."""
-    blocks = [([m.mention_id for m in mentions], scores) for mentions, scores in components]
-    order = sorted(range(len(blocks)), key=lambda k: len(blocks[k][0]))
-    results: list = [None] * len(blocks)
+) -> list[tuple[list[frozenset], list[tuple[int, int, float]]]]:
+    """`average_link` on each (mentions, scores) component, in input order,
+    as its final clusters and (a, b, average) slot log, which `linkage._replay`
+    turns into merges. Mentions come sorted by id, with the symmetric (m, m)
+    `scores` that `harness._component_arrays` checks and builds (-inf on the
+    diagonal), which the engines may overwrite. Components are bucketed by
+    size, a bucket running from its smallest component up to sqrt(2) times
+    as many mentions, so that padding keeps it within twice its own sum of
+    m^2 cells. A bucket of at least STACK_MIN components runs in lock-step
+    (`linkage._lockstep_merges`), a smaller one block by block (`_merges`)."""
+    ids = [[m.mention_id for m in mentions] for mentions, _ in components]
+    order = sorted(range(len(ids)), key=lambda k: len(ids[k]))
+    results: list = [None] * len(ids)
     start = 0
     while start < len(order):
-        stop, smallest = start + 1, len(blocks[order[start]][0])
-        while stop < len(order) and len(blocks[order[stop]][0]) ** 2 <= 2 * smallest**2:
+        stop, smallest = start + 1, len(ids[order[start]])
+        while stop < len(order) and len(ids[order[stop]]) ** 2 <= 2 * smallest**2:
             stop += 1
-        bucket = [blocks[k] for k in order[start:stop]]
+        bucket = [components[k][1] for k in order[start:stop]]
         if len(bucket) < STACK_MIN:
-            out = [average_link(ids, scores, merge_threshold) for ids, scores in bucket]
+            logs = [_merges(scores, merge_threshold) for scores in bucket]
         else:
-            out = average_link_blocks(bucket, merge_threshold)
-        for k, result in zip(order[start:stop], out):
-            results[k] = result
+            logs = _lockstep_merges(bucket, merge_threshold)
+        for k, log in zip(order[start:stop], logs):
+            results[k] = _clusters(ids[k], log), log
         start = stop
     return results
 

@@ -195,8 +195,9 @@ def _component_arrays(
     `_combined_scores`, at the connected components of its scored-pair
     graph: no merge can join two components, as their cross sums are -inf.
     Returns a singleton per mention in no scored pair, and per component of
-    two or more mentions, its mentions and their (m, m) score array for
-    `average_link`. Errors are those of `average_link` on the whole unit."""
+    two or more mentions, its mentions and their symmetric (m, m) score
+    array, -inf on the diagonal, for `cluster_components`, which checks
+    nothing again. Errors are those of `average_link` on the whole unit."""
     ids = [m.mention_id for m in unit]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate items")
@@ -206,32 +207,31 @@ def _component_arrays(
         raise ValueError(f"bad score {float(scored[k])!r} for ({ids[i[k]]!r}, {ids[j[k]]!r})")
     n = len(unit)
     if n > 1 and len(i) == n * (n - 1) // 2:  # all pairs scored: no labelling
-        return [], [(unit, _filled(n, i, j, scored))]
+        scores = np.full((n, n), -np.inf)
+        upper = ~np.tri(n, dtype=bool)  # all (i, j), in row-major order
+        scores[upper] = scores.T[upper] = scored
+        return [], [(unit, scores)]
     label = _components(n, i, j)
     size = np.bincount(label, minlength=n)
     members = np.argsort(label, kind="stable")  # by component, then position
     first = np.cumsum(size) - size  # where each component starts in members
-    edge_label = label[i]
-    edges = np.argsort(edge_label, kind="stable")
-    edge_count = np.bincount(edge_label, minlength=n)
-    edge_first = np.cumsum(edge_count) - edge_count
-    components = []
-    for root in np.flatnonzero(size > 1).tolist():
-        group = members[first[root] : first[root] + size[root]]
-        e = edges[edge_first[root] : edge_first[root] + edge_count[root]]
-        # positions within the component, which keeps unit order
-        rows, cols = group.searchsorted(i[e]), group.searchsorted(j[e])
-        scores = _filled(len(group), rows, cols, scored[e])
-        components.append(([unit[p] for p in group.tolist()], scores))
+    rank = np.empty(n, dtype=np.int64)  # position within its component
+    rank[members] = np.arange(n) - first[label[members]]
+    # one buffer holds each component's m x m cells in turn, row-major; the
+    # row of position p starts at cell row[p]
+    cells = np.where(size > 1, size * size, 0)
+    start = np.cumsum(cells) - cells
+    row = start[label] + rank * size[label]
+    buffer = np.full(int(cells.sum()), -np.inf)
+    buffer[row[i] + rank[j]] = buffer[row[j] + rank[i]] = scored
+    roots = np.flatnonzero(size > 1)
+    components = [
+        ([unit[p] for p in members[first[r] : first[r] + m].tolist()],
+         buffer[start[r] : start[r] + m * m].reshape(m, m))
+        for r, m in zip(roots.tolist(), size[roots].tolist())
+    ]
     singletons = [frozenset([ids[p]]) for p in np.flatnonzero(size[label] == 1).tolist()]
     return singletons, components
-
-
-def _filled(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """An (n, n) array of `values` at (i, j) and -inf elsewhere."""
-    out = np.full((n, n), -np.inf)
-    out[i, j] = values
-    return out
 
 
 def partition_on_spans(

@@ -61,12 +61,11 @@ def average_link(
     which only the entries above the diagonal are read. Scores of -inf are
     allowed and act as "never merge"; NaN and +inf are rejected. Returns
     the final clusters (canonically sorted) and the ordered merge log.
-    The pipeline clusters each connected component of a unit's scored-pair
-    graph on its own, as no merge can join two components, whose cross
-    scores are all -inf. It buckets the components of all units by size
-    and calls this once per component of a bucket too small to stack;
-    larger buckets run through `average_link_blocks`, which gives the same
-    results.
+
+    This checks its input, has `_merges` log each merge of slot b into
+    slot a as (a, b, average), and `_replay`s the log into clusters and
+    Merges. The pipeline's `cluster_components` calls the engines below it
+    on checked symmetric blocks and reads clusters with `_clusters`.
 
     Clusters live in slots of two n x n float64 matrices (16 n^2 bytes:
     5 MB at n = 560, 144 MB at n = 3,000): cluster-pair score sums and
@@ -98,18 +97,25 @@ def average_link(
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
+    ids, sums = _checked(items, pair_score)
+    return _replay(ids, _merges(sums, threshold))
+
+
+def _checked(items: Sequence, pair_score: np.ndarray) -> tuple[list, np.ndarray]:
+    """The sorted ids of distinct `items` and their `_score_matrix`."""
     ids = list(items)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate items")
     ids.sort()
-    sums = _score_matrix(ids, pair_score)
-    if len(ids) < 2:
-        log = []
-    elif len(ids) <= SCAN_MAX:
-        log = _scan_merges(sums, threshold)
-    else:
-        log = _cached_merges(sums, threshold)
-    return _replay(ids, log)
+    return ids, _score_matrix(ids, pair_score)
+
+
+def _merges(sums: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
+    """The (a, b, average) slot log of one block's symmetric (n, n) sums,
+    -inf on the diagonal and free of NaN and +inf, which it overwrites."""
+    if len(sums) < 2:
+        return []
+    return (_scan_merges if len(sums) <= SCAN_MAX else _cached_merges)(sums, threshold)
 
 
 def _replay(
@@ -124,6 +130,19 @@ def _replay(
         clusters[a] = clusters[a] | clusters[b]
         clusters[b] = None
     return [c for c in clusters if c is not None], merges
+
+
+def _clusters(ids: list, log: Sequence[tuple[int, int, float]]) -> list[frozenset]:
+    """`_replay(ids, log)`'s final clusters by one pass over the slots, with
+    no Merge: slot b joins slot a < b, so a slot's root is known by its turn."""
+    root = list(range(len(ids)))
+    for a, b, _ in log:
+        root[b] = a
+    groups: dict[int, list] = {}
+    for slot, x in enumerate(ids):
+        root[slot] = root[root[slot]]
+        groups.setdefault(root[slot], []).append(x)
+    return [frozenset(group) for group in groups.values()]
 
 
 def _scan_merges(sums: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
@@ -199,19 +218,27 @@ def _cached_merges(sums: np.ndarray, threshold: float) -> list[tuple[int, int, f
     return log
 
 
-def _reject(ids: list[list], blocks: Sequence[tuple[Sequence, np.ndarray]]) -> None:
-    """Raise the error of the first block that `average_link` rejects."""
-    for block, (_, pair_score) in zip(ids, blocks):
-        if len(set(block)) != len(block):
-            raise ValueError("duplicate items")
-        _score_matrix(block, pair_score)
-
-
 def average_link_blocks(
     blocks: Sequence[tuple[Sequence, np.ndarray]], threshold: float
 ) -> list[tuple[list[frozenset], list[Merge]]]:
     """`average_link(items, pair_score, threshold)` for each (items,
-    pair_score) block, in block order, with the blocks run in lock-step.
+    pair_score) block, in block order, with the blocks run in lock-step:
+    each block is checked as `average_link` checks it, so errors are those
+    of the first block it rejects, then `_lockstep_merges` runs them all
+    and `_replay` turns each slot log into clusters and a merge log.
+    """
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite")
+    checked = [_checked(items, pair_score) for items, pair_score in blocks]
+    logs = _lockstep_merges([sums for _, sums in checked], threshold)
+    return [_replay(ids, log) for (ids, _), log in zip(checked, logs)]
+
+
+def _lockstep_merges(
+    blocks: Sequence[np.ndarray], threshold: float
+) -> list[list[tuple[int, int, float]]]:
+    """`_merges(sums, threshold)` for each block's symmetric sums, -inf on
+    the diagonal and free of NaN and +inf, with the blocks run in lock-step.
 
     The blocks are padded with -inf to the largest one, n, and stacked
     into (B, n, n) sums and averages and (B, n) best, partner and size
@@ -221,31 +248,18 @@ def average_link_blocks(
     block rather than once per merge. Per block, the sums S[a] + S[b], the
     averages sum / (|A| |B|), the tie rule and the rescan of rows whose
     cached partner was merged are those of `average_link`'s cached loop,
-    so every result is equal to it, merge log included; the logs are
-    rebuilt from the merged slots after the loop. Errors are those of the
-    first block that `average_link` rejects. A step costs about as much as
-    a few cached single-block merges, and padding costs B n^2 cells
-    against the blocks' sum of m^2, so this pays for several blocks of
-    similar sizes.
+    so every slot log is equal to `_merges`'. A step costs about as much as
+    a dozen scanned single-block merges, and padding costs B n^2 cells
+    against the blocks' sum of m^2, so this pays only for many blocks of
+    similar sizes (`clustering.STACK_MIN`).
     """
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite")
-    ids = [sorted(items) for items, _ in blocks]
-    count, n = len(ids), max(map(len, ids), default=0)
-    sums = np.full((count, n, n), NEG_INF)
-    for k, (block, (_, pair_score)) in enumerate(zip(ids, blocks)):
-        scores = np.asarray(pair_score, dtype=np.float64)
-        if scores.shape != (len(block), len(block)) or len(set(block)) != len(block):
-            _reject(ids, blocks)
-        sums[k, : len(block), : len(block)] = scores
-    # what _score_matrix does per block, on the whole stack
-    np.copyto(sums, sums.transpose(0, 2, 1), where=np.tri(n, k=-1, dtype=bool))
-    sums[:, np.arange(n), np.arange(n)] = NEG_INF
-    if (np.isnan(sums) | (sums == np.inf)).any():
-        _reject(ids, blocks)
-    logs: list[list] = [[] for _ in ids]
+    count, n = len(blocks), max(map(len, blocks), default=0)
+    logs: list[list] = [[] for _ in blocks]
     if n < 2:
-        return [_replay(block, []) for block in ids]
+        return logs
+    sums = np.full((count, n, n), NEG_INF)
+    for k, block in enumerate(blocks):
+        sums[k, : len(block), : len(block)] = block
 
     # averages on both sides of the diagonal, which saves masking them: a
     # block's first row that holds its best average has every pair at that
@@ -255,7 +269,7 @@ def average_link_blocks(
     flat_sums, flat_avg = sums.reshape(-1, n), avg.reshape(-1, n)
     partner = avg.argmax(axis=2)
     best = np.take_along_axis(avg, partner[:, :, None], axis=2)[:, :, 0]
-    for k, block in enumerate(ids):
+    for k, block in enumerate(blocks):
         partner[k, len(block) :] = -1  # padding, never stale
     size = np.ones((count, n))  # exact: products of sizes stay below 2^53
     flat_best, flat_partner, flat_size = best.ravel(), partner.ravel(), size.ravel()
@@ -305,4 +319,4 @@ def average_link_blocks(
     for step in log:
         for k, a, b, score in zip(*(column.tolist() for column in step)):
             logs[k].append((a, b, score))
-    return [_replay(block, log_k) for block, log_k in zip(ids, logs)]
+    return logs

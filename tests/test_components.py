@@ -32,7 +32,7 @@ from cdcoref import (
     average_link,
     build_response,
 )
-from cdcoref.harness import _combined_scores, _components, _sigmoid
+from cdcoref.harness import _combined_scores, _component_arrays, _components, _sigmoid
 from helpers import heap_average_link, run_python
 from test_run_determinism import generated_inputs, write_inputs
 
@@ -62,28 +62,38 @@ def corpus_config(threshold, gold_mode=True, sigmoid=False) -> EvalConfig:
 
 @contextlib.contextmanager
 def linkage_calls():
-    """The items of every block that the pipeline hands to either engine,
-    `average_link` or the lock-step `average_link_blocks`, sorted by their
-    smallest item, as blocks of one bucket run in size order."""
-    calls = []
-    one, stacked = cdcoref.clustering.average_link, cdcoref.clustering.average_link_blocks
+    """The items of every block whose clusters the pipeline reads from an
+    engine's slot log, sorted by their smallest item, as blocks of one
+    bucket run in size order; on exit, also checks that either engine, the
+    one-block `_merges` or the lock-step `_lockstep_merges`, ran each
+    block once."""
+    calls, engine_blocks = [], []
+    one, stacked = cdcoref.clustering._merges, cdcoref.clustering._lockstep_merges
+    read = cdcoref.clustering._clusters
 
-    def recording(items, scores, threshold):
-        calls.append(frozenset(items))
-        return one(items, scores, threshold)
+    def recording(scores, threshold):
+        engine_blocks.append(1)
+        return one(scores, threshold)
 
     def recording_blocks(blocks, threshold):
-        calls.extend(frozenset(items) for items, _ in blocks)
+        engine_blocks.extend(1 for _ in blocks)
         return stacked(blocks, threshold)
 
-    cdcoref.clustering.average_link = recording
-    cdcoref.clustering.average_link_blocks = recording_blocks
+    def reading(ids, log):
+        calls.append(frozenset(ids))
+        return read(ids, log)
+
+    cdcoref.clustering._merges = recording
+    cdcoref.clustering._lockstep_merges = recording_blocks
+    cdcoref.clustering._clusters = reading
     try:
         yield calls
     finally:
-        cdcoref.clustering.average_link = one
-        cdcoref.clustering.average_link_blocks = stacked
+        cdcoref.clustering._merges = one
+        cdcoref.clustering._lockstep_merges = stacked
+        cdcoref.clustering._clusters = read
         calls.sort(key=min)
+    assert len(engine_blocks) == len(calls)
 
 
 def oracle_components(ids, pairs) -> list[frozenset]:
@@ -194,6 +204,21 @@ class TestErrorsAsOnTheWholeUnit:
             build_response(corpus_of(ids, scores), config, table)
         assert (type(e.value), str(e.value)) == want
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bad_scores_on_the_pipeline_route(self, bad):
+        # the pipeline checks a unit's scored pairs once, in _component_arrays,
+        # and hands the engines blocks that they do not check again
+        ids = list("abcd")
+        unit = sorted(corpus_of(ids).gold_mentions, key=lambda m: m.mention_id)
+        i, j, scored = np.array([0, 1, 2]), np.array([1, 3, 3]), np.array([0.5, bad, bad])
+        dense = np.full((4, 4), NEG_INF)
+        dense[i, j] = scored
+        with pytest.raises(ValueError) as want:
+            average_link(ids, dense, 0.0)
+        with pytest.raises(ValueError) as got:
+            _component_arrays(unit, i, j, scored)
+        assert str(got.value) == str(want.value) == f"bad score {bad!r} for ('b', 'd')"
+
     def test_mention_without_a_score(self):
         # a and e have no mention score; only e is in a scored pair
         ids = list("abcde")
@@ -245,15 +270,15 @@ GUARD = """
 import json, sys
 import cdcoref.clustering
 from cdcoref.cli import main
-calls, one, stacked = [], cdcoref.clustering.average_link, cdcoref.clustering.average_link_blocks
-def recording(items, scores, threshold):
-    calls.append(len(items))
-    return one(items, scores, threshold)
+calls, one, stacked = [], cdcoref.clustering._merges, cdcoref.clustering._lockstep_merges
+def recording(scores, threshold):
+    calls.append(len(scores))
+    return one(scores, threshold)
 def recording_blocks(blocks, threshold):
-    calls.extend(len(items) for items, _ in blocks)
+    calls.extend(len(scores) for scores in blocks)
     return stacked(blocks, threshold)
-cdcoref.clustering.average_link = recording
-cdcoref.clustering.average_link_blocks = recording_blocks
+cdcoref.clustering._merges = recording
+cdcoref.clustering._lockstep_merges = recording_blocks
 configs, key, response = json.loads(sys.argv[1])
 codes = [main(["pipeline", "--config", config]) for config in configs]
 codes += [main(["evaluate", "--key", key, "--response", response, "--singletons", flag])

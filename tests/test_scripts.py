@@ -15,6 +15,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ("singleton_study.py", []),
         ("pipeline_demo.py", ["--out", "{tmp}"]),
         ("linkage_crossover.py", ["--sizes", "6", "9", "--repeats", "1"]),
+        ("linkage_crossover.py", ["--blocks", "1", "3", "--sizes", "6", "9", "--repeats", "1"]),
     ],
 )
 def test_script_runs(tmp_path, script, args):
