@@ -12,12 +12,14 @@ it prints the median time of each per size and density and their ratio.
 The cap belongs where the ratio crosses 1.
 
 With `--blocks B ...`, it times the pipeline's `cluster_components` on B
-equal blocks instead, forcing the lock-step engine and then the blocks one
-by one by setting `clustering.STACK_MIN`, and prints lock-step time over
-one-by-one time per block shape and B. The block shapes are those of
-BENCH_21.json's `stack_cutoff` table, or dense blocks of `--sizes`.
-STACK_MIN belongs at the smallest B from which the ratio stays at or
-below 1.
+equal blocks instead, forcing the lock-step engine (`linkage.STACK_MIN`
+at 1 and `SCAN_MAX` lifted, so that its cell cap cannot send the stack
+block by block) and then the blocks one by one (STACK_MIN above B), and
+prints lock-step time over one-by-one time per block shape and B, each
+next to the B n^2 cells of the padded stack, which the pipeline stacks
+only up to SCAN_MAX^2. The block shapes are those of BENCH_21.json's
+`stack_cutoff` table, or dense blocks of `--sizes`. STACK_MIN belongs at
+the smallest B from which the ratio stays at or below 1.
 
     PYTHONPATH=src python3 scripts/linkage_crossover.py --sizes 160 256 400
     PYTHONPATH=src python3 scripts/linkage_crossover.py --blocks 4 8 12 16
@@ -36,6 +38,9 @@ import numpy as np
 from cdcoref import Mention, average_link, clustering, linkage
 
 DENSITIES = {"dense": 1.0, "12%": 0.12}
+# the linkage constants that force each side of --blocks
+LOCKSTEP = {"STACK_MIN": 1, "SCAN_MAX": sys.maxsize}
+ONE_BY_ONE = {"STACK_MIN": sys.maxsize}
 # (items, share of pairs scored) per block: BENCH_21.json's `stack_cutoff`
 STACK_SHAPES = [(12, 1.0), (35, 1.0), (70, 0.5), (140, 0.3), (200, 1.0)]
 
@@ -48,13 +53,15 @@ def grid_block(rng, n: int, density: float) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def forced(module, name: str, value: int):
-    saved = getattr(module, name)
-    setattr(module, name, value)
+def forced(module, **values: int):
+    saved = {name: getattr(module, name) for name in values}
+    for name, value in values.items():
+        setattr(module, name, value)
     try:
         yield
     finally:
-        setattr(module, name, saved)
+        for name, value in saved.items():
+            setattr(module, name, value)
 
 
 def timed(call, *args) -> tuple[float, object]:
@@ -73,9 +80,9 @@ def loops(args) -> None:
             scores = grid_block(rng, n, density)
             times: dict[str, list] = {"scan": [], "cached": []}
             for _ in range(args.repeats):
-                with forced(linkage, "SCAN_MAX", n):
+                with forced(linkage, SCAN_MAX=n):
                     scan, scanned = timed(average_link, ids, scores, args.tau)
-                with forced(linkage, "SCAN_MAX", 0):
+                with forced(linkage, SCAN_MAX=0):
                     cached, kept = timed(average_link, ids, scores, args.tau)
                 if scanned != kept:
                     raise SystemExit(f"the loops disagree on a {name} block of {n}")
@@ -89,9 +96,10 @@ def loops(args) -> None:
 def stacks(args) -> None:
     rng = np.random.default_rng(args.seed)
     shapes = [(m, 1.0) for m in args.sizes] if args.sizes else STACK_SHAPES
-    print(f"STACK_MIN = {clustering.STACK_MIN}; lock-step over one-by-one time, medians over"
-          f" {args.repeats} calls of cluster_components per B")
-    print(f"{'m':>5} {'scored':>6} " + " ".join(f"{f'B={b}':>6}" for b in args.blocks))
+    print(f"STACK_MIN = {linkage.STACK_MIN}, SCAN_MAX^2 = {linkage.SCAN_MAX**2:,} cells;"
+          f" lock-step over one-by-one time, medians over {args.repeats} calls of"
+          " cluster_components per B, each next to B n^2 cells")
+    print(f"{'m':>5} {'scored':>6} " + " ".join(f"{f'B={b}':>15}" for b in args.blocks))
     for m, density in shapes:
         ratios = []
         for count in args.blocks:
@@ -102,21 +110,22 @@ def stacks(args) -> None:
                 np.fill_diagonal(scores, -np.inf)
                 blocks.append(([Mention(f"b{k:03d}m{i:03d}", "d", 0, 0, "event")
                                 for i in range(m)], scores))
-            times: dict[int, list] = {1: [], sys.maxsize: []}
+            times: list[list] = [[], []]
             for _ in range(args.repeats):
                 results = []
-                for stack_min in times:
+                for side, constants in enumerate((LOCKSTEP, ONE_BY_ONE)):
                     # the engines overwrite the arrays they are given
                     components = [(mentions, scores.copy()) for mentions, scores in blocks]
-                    with forced(clustering, "STACK_MIN", stack_min):
+                    with forced(linkage, **constants):
                         took, result = timed(clustering.cluster_components,
                                              components, args.tau)
-                    times[stack_min].append(took)
+                    times[side].append(took)
                     results.append(result)
                 if results[0] != results[1]:
                     raise SystemExit(f"the engines disagree on {count} blocks of {m}")
-            ratios.append(statistics.median(times[1]) / statistics.median(times[sys.maxsize]))
-        print(f"{m:>5} {density:>6.0%} " + " ".join(f"{r:>6.2f}" for r in ratios))
+            ratio = statistics.median(times[0]) / statistics.median(times[1])
+            ratios.append(f"{ratio:.2f} {count * m * m:>9,}")
+        print(f"{m:>5} {density:>6.0%} " + " ".join(f"{r:>15}" for r in ratios))
 
 
 def main(argv=None) -> int:

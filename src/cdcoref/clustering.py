@@ -16,15 +16,9 @@ import numpy as np
 from .corpus import (SCORE_BOUND, Mention, Partition, SchemaError, _bounded_score, read_jsonl,
                      write_jsonl)
 # average_link stays bound here for perfbench/spans.py, which traces it by name
-from .linkage import _clusters, _lockstep_merges, _merges, average_link
+from .linkage import _clusters, _merges_per_block, average_link
 
 NEVER_MERGE = float("-inf")
-# the fewest components of similar size that run in lock-step: against
-# the blocks one by one through the scan (linkage.SCAN_MAX), B equal dense
-# blocks of 24 to 50 items take 1.26-1.31 times as long in lock-step at
-# B = 8 and 0.95-1.05 at B = 12, and sparser or larger blocks still lose
-# at B = 16 (scripts/linkage_crossover.py --blocks; BENCH_22.json)
-STACK_MIN = 12
 
 
 class ScoreTable:
@@ -271,28 +265,11 @@ def cluster_components(
     as its final clusters and (a, b, average) slot log, which `linkage._replay`
     turns into merges. Mentions come sorted by id, with the symmetric (m, m)
     `scores` that `harness._component_arrays` checks and builds (-inf on the
-    diagonal), which the engines may overwrite. Components are bucketed by
-    size, a bucket running from its smallest component up to sqrt(2) times
-    as many mentions, so that padding keeps it within twice its own sum of
-    m^2 cells. A bucket of at least STACK_MIN components runs in lock-step
-    (`linkage._lockstep_merges`), a smaller one block by block (`_merges`)."""
+    diagonal), which the engines may overwrite; `linkage._merges_per_block`
+    picks their loops."""
     ids = [[m.mention_id for m in mentions] for mentions, _ in components]
-    order = sorted(range(len(ids)), key=lambda k: len(ids[k]))
-    results: list = [None] * len(ids)
-    start = 0
-    while start < len(order):
-        stop, smallest = start + 1, len(ids[order[start]])
-        while stop < len(order) and len(ids[order[stop]]) ** 2 <= 2 * smallest**2:
-            stop += 1
-        bucket = [components[k][1] for k in order[start:stop]]
-        if len(bucket) < STACK_MIN:
-            logs = [_merges(scores, merge_threshold) for scores in bucket]
-        else:
-            logs = _lockstep_merges(bucket, merge_threshold)
-        for k, log in zip(order[start:stop], logs):
-            results[k] = _clusters(ids[k], log), log
-        start = stop
-    return results
+    logs = _merges_per_block([scores for _, scores in components], merge_threshold)
+    return [(_clusters(block_ids, log), log) for block_ids, log in zip(ids, logs)]
 
 
 def generate_training_pairs(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Sequence
 
 import numpy as np
@@ -14,6 +15,11 @@ NEG_INF = -np.inf
 # 0.7-0.8 of the cached loop's time at n = 256, 0.8-0.95 at 320 and
 # 1.1-1.2 at 400 (scripts/linkage_crossover.py)
 SCAN_MAX = 256
+# the fewest blocks of similar size that run in lock-step: B equal dense
+# blocks of 24 to 70 items take 1.3-1.7 times as long as one by one at
+# B = 4, 0.75-0.98 at B = 8 (0.89-0.98 at 70 items, near break-even) and
+# 0.60-0.84 at B = 12 (scripts/linkage_crossover.py --blocks, two runs)
+STACK_MIN = 12
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,9 @@ def average_link(
 
     This checks its input, has `_merges` log each merge of slot b into
     slot a as (a, b, average), and `_replay`s the log into clusters and
-    Merges. The pipeline's `cluster_components` calls the engines below it
-    on checked symmetric blocks and reads clusters with `_clusters`.
+    Merges. The pipeline's `cluster_components` hands its checked
+    symmetric blocks to `_merges_per_block`, which picks each block's loop,
+    and reads clusters with `_clusters`.
 
     Clusters live in slots of two n x n float64 matrices (16 n^2 bytes:
     5 MB at n = 560, 144 MB at n = 3,000): cluster-pair score sums and
@@ -80,7 +87,9 @@ def average_link(
       row-major order. The mirror of a pair lies in a later row, so that
       is the first row holding the best average, at its first such column:
       the tie rule above. A merge costs one O(n^2) argmax and eight O(n)
-      array calls, with no bookkeeping.
+      array calls, with no bookkeeping. The scan has two indexings: one
+      block (`_scan_merges`), or a stack of STACK_MIN or more blocks of
+      similar size and at most SCAN_MAX^2 cells (`_lockstep_merges`).
     - above SCAN_MAX, averages are kept above the diagonal, each row
       caches its best average and first best column, and the next merge
       is the first maximum over rows. A merge costs O(n) plus O(n) per row
@@ -97,17 +106,11 @@ def average_link(
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    ids, sums = _checked(items, pair_score)
-    return _replay(ids, _merges(sums, threshold))
-
-
-def _checked(items: Sequence, pair_score: np.ndarray) -> tuple[list, np.ndarray]:
-    """The sorted ids of distinct `items` and their `_score_matrix`."""
     ids = list(items)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate items")
     ids.sort()
-    return ids, _score_matrix(ids, pair_score)
+    return _replay(ids, _merges(_score_matrix(ids, pair_score), threshold))
 
 
 def _merges(sums: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
@@ -218,41 +221,41 @@ def _cached_merges(sums: np.ndarray, threshold: float) -> list[tuple[int, int, f
     return log
 
 
-def average_link_blocks(
-    blocks: Sequence[tuple[Sequence, np.ndarray]], threshold: float
-) -> list[tuple[list[frozenset], list[Merge]]]:
-    """`average_link(items, pair_score, threshold)` for each (items,
-    pair_score) block, in block order, with the blocks run in lock-step:
-    each block is checked as `average_link` checks it, so errors are those
-    of the first block it rejects, then `_lockstep_merges` runs them all
-    and `_replay` turns each slot log into clusters and a merge log.
-    """
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite")
-    checked = [_checked(items, pair_score) for items, pair_score in blocks]
-    logs = _lockstep_merges([sums for _, sums in checked], threshold)
-    return [_replay(ids, log) for (ids, _), log in zip(checked, logs)]
+def _merges_per_block(
+    blocks: Sequence[np.ndarray], threshold: float
+) -> list[list[tuple[int, int, float]]]:
+    """`_merges(sums, threshold)` for each block, in input order. Blocks are
+    bucketed by size, each bucket up to sqrt(2) times its smallest block, so
+    that padding keeps it within twice its own sum of m^2 cells. A bucket of
+    STACK_MIN or more blocks runs in lock-step if its padded stack holds at
+    most SCAN_MAX^2 cells, the scan's bound on the cells of one argmax."""
+    order = sorted(range(len(blocks)), key=lambda k: len(blocks[k]))
+    logs: list = [None] * len(blocks)
+    while order:
+        smallest = len(blocks[order[0]])
+        bucket = list(takewhile(lambda k: len(blocks[k]) ** 2 <= 2 * smallest**2, order))
+        order = order[len(bucket) :]
+        stack = [blocks[k] for k in bucket]
+        if len(stack) >= STACK_MIN and len(stack) * len(stack[-1]) ** 2 <= SCAN_MAX**2:
+            stack_logs = _lockstep_merges(stack, threshold)
+        else:
+            stack_logs = [_merges(sums, threshold) for sums in stack]
+        for k, log in zip(bucket, stack_logs):
+            logs[k] = log
+    return logs
 
 
 def _lockstep_merges(
     blocks: Sequence[np.ndarray], threshold: float
 ) -> list[list[tuple[int, int, float]]]:
-    """`_merges(sums, threshold)` for each block's symmetric sums, -inf on
-    the diagonal and free of NaN and +inf, with the blocks run in lock-step.
+    """`_scan_merges` on each block's sums, with the blocks run in lock-step.
 
-    The blocks are padded with -inf to the largest one, n, and stacked
-    into (B, n, n) sums and averages and (B, n) best, partner and size
-    arrays. Each step merges, in every block whose best average is >=
-    threshold, that block's own next pair, with one set of array calls for
-    all of them, so the Python loop runs once per merge of the deepest
-    block rather than once per merge. Per block, the sums S[a] + S[b], the
-    averages sum / (|A| |B|), the tie rule and the rescan of rows whose
-    cached partner was merged are those of `average_link`'s cached loop,
-    so every slot log is equal to `_merges`'. A step costs about as much as
-    a dozen scanned single-block merges, and padding costs B n^2 cells
-    against the blocks' sum of m^2, so this pays only for many blocks of
-    similar sizes (`clustering.STACK_MIN`).
-    """
+    The blocks are padded with -inf to the largest one, n, and stacked into
+    (B, n, n) sums and averages. A step takes each block's first maximum
+    of its n^2 averages in row-major order, which padding leaves where it
+    is, and gives every block whose maximum is >= threshold the scan's
+    updates, indexed by block: the Python loop runs once per merge of the
+    deepest block, and every slot log is equal to `_merges`'."""
     count, n = len(blocks), max(map(len, blocks), default=0)
     logs: list[list] = [[] for _ in blocks]
     if n < 2:
@@ -260,63 +263,28 @@ def _lockstep_merges(
     sums = np.full((count, n, n), NEG_INF)
     for k, block in enumerate(blocks):
         sums[k, : len(block), : len(block)] = block
-
-    # averages on both sides of the diagonal, which saves masking them: a
-    # block's first row that holds its best average has every pair at that
-    # average to its right, so the merge chosen is still average_link's
     avg = sums.copy()
-    # flat views: slot a of block k is row k * n + a
-    flat_sums, flat_avg = sums.reshape(-1, n), avg.reshape(-1, n)
-    partner = avg.argmax(axis=2)
-    best = np.take_along_axis(avg, partner[:, :, None], axis=2)[:, :, 0]
-    for k, block in enumerate(blocks):
-        partner[k, len(block) :] = -1  # padding, never stale
+    flat = avg.reshape(count, -1)
     size = np.ones((count, n))  # exact: products of sizes stay below 2^53
-    flat_best, flat_partner, flat_size = best.ravel(), partner.ravel(), size.ravel()
-    slots = np.arange(count * n).reshape(count, n)
     blocks_at = np.arange(count)
-    log = []  # per step: blocks, slots a and b, averages
-
     while True:
-        a = best.argmax(axis=1)
-        k = np.flatnonzero(best[blocks_at, a] >= threshold)
+        cells = flat.argmax(axis=1)
+        best = flat[blocks_at, cells]
+        k = np.flatnonzero(best >= threshold)
         if not k.size:
-            break
-        a = a[k]
-        rows = slots[k]
-        ra = rows[blocks_at[: len(k)], a]
-        b = flat_partner[ra]
-        rb = ra - a + b
-        log.append((k, a, b, flat_best[ra]))
-        flat_size[ra] += flat_size[rb]
-
-        # the -inf diagonals, dead slots and padding keep row and column a
-        # at -inf where they meet them; a dead slot's own row is never read
-        row = flat_sums[ra] + flat_sums[rb]
-        flat_sums[ra] = row
+            return logs
+        a, b = np.divmod(cells[k], n)
+        for block, merge in zip(k.tolist(), zip(a.tolist(), b.tolist(), best[k].tolist())):
+            logs[block].append(merge)
+        size[k, a] += size[k, b]
+        # as in the scan, -inf diagonals, dead slots and padding keep rows
+        # and columns a and b at -inf where they meet them
+        row = sums[k, a] + sums[k, b]
+        sums[k, a] = row
         sums[k, :, a] = row
         sums[k, :, b] = NEG_INF
-        means = row / (flat_size[ra][:, None] * size[k])
-        flat_avg[ra] = means
+        means = row / (size[k, a][:, None] * size[k])
+        avg[k, a] = means
         avg[k, :, a] = means
+        avg[k, b] = NEG_INF
         avg[k, :, b] = NEG_INF
-
-        head_best, head_partner = flat_best[rows], flat_partner[rows]
-        a_col = a[:, None]
-        stale = (head_partner == a_col) | (head_partner == b[:, None])
-        # rows whose best survived: the new column a may beat it
-        better = (means > head_best) | ((means == head_best) & (head_partner > a_col))
-        flat_best[rows] = np.where(better, means, head_best)
-        flat_partner[rows] = np.where(better, a_col, head_partner)
-        # a is stale itself, as partner[a] == b; b is dead
-        stale[blocks_at[: len(k)], b] = False
-        flat_best[rb] = NEG_INF
-        flat_partner[rb] = -1
-        rows = rows[stale]
-        flat_partner[rows] = flat_avg[rows].argmax(axis=1)
-        flat_best[rows] = flat_avg[rows, flat_partner[rows]]
-
-    for step in log:
-        for k, a, b, score in zip(*(column.tolist() for column in step)):
-            logs[k].append((a, b, score))
-    return logs

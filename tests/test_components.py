@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdcoref.clustering
+import cdcoref.linkage
 from cdcoref import (
     ClusteringConfig,
     Corpus,
@@ -68,7 +69,7 @@ def linkage_calls():
     one-block `_merges` or the lock-step `_lockstep_merges`, ran each
     block once."""
     calls, engine_blocks = [], []
-    one, stacked = cdcoref.clustering._merges, cdcoref.clustering._lockstep_merges
+    one, stacked = cdcoref.linkage._merges, cdcoref.linkage._lockstep_merges
     read = cdcoref.clustering._clusters
 
     def recording(scores, threshold):
@@ -83,14 +84,14 @@ def linkage_calls():
         calls.append(frozenset(ids))
         return read(ids, log)
 
-    cdcoref.clustering._merges = recording
-    cdcoref.clustering._lockstep_merges = recording_blocks
+    cdcoref.linkage._merges = recording
+    cdcoref.linkage._lockstep_merges = recording_blocks
     cdcoref.clustering._clusters = reading
     try:
         yield calls
     finally:
-        cdcoref.clustering._merges = one
-        cdcoref.clustering._lockstep_merges = stacked
+        cdcoref.linkage._merges = one
+        cdcoref.linkage._lockstep_merges = stacked
         cdcoref.clustering._clusters = read
         calls.sort(key=min)
     assert len(engine_blocks) == len(calls)
@@ -268,17 +269,17 @@ def test_many_components_allocate_far_below_the_dense_unit():
 
 GUARD = """
 import json, sys
-import cdcoref.clustering
+import cdcoref.linkage
 from cdcoref.cli import main
-calls, one, stacked = [], cdcoref.clustering._merges, cdcoref.clustering._lockstep_merges
+calls, one, stacked = [], cdcoref.linkage._merges, cdcoref.linkage._lockstep_merges
 def recording(scores, threshold):
     calls.append(len(scores))
     return one(scores, threshold)
 def recording_blocks(blocks, threshold):
     calls.extend(len(scores) for scores in blocks)
     return stacked(blocks, threshold)
-cdcoref.clustering._merges = recording
-cdcoref.clustering._lockstep_merges = recording_blocks
+cdcoref.linkage._merges = recording
+cdcoref.linkage._lockstep_merges = recording_blocks
 configs, key, response = json.loads(sys.argv[1])
 codes = [main(["pipeline", "--config", config]) for config in configs]
 codes += [main(["evaluate", "--key", key, "--response", response, "--singletons", flag])

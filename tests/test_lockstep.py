@@ -1,26 +1,27 @@
 """The lock-step engine and the size buckets against the heap oracle.
 
-`average_link_blocks` runs many independent blocks at once, and
-`cluster_components` buckets a run's components by size before handing
-each bucket to the lock-step `_lockstep_merges` or, below STACK_MIN
-blocks, block by block to `_merges`, and reads each block's clusters from
-its slot log with `_clusters`. Every block's clusters and merge log, the
-pipeline's replayed from its slot log, scores compared by `repr` so that
--0.0 stays -0.0, must be `heap_average_link`'s on that block alone, with
-`average_link` forced to each of its two loops and with its cap between
-two block sizes.
+`_lockstep_merges` runs the scan over a stack of independent blocks, and
+`cluster_components` has `linkage._merges_per_block` bucket a run's
+components by size before handing each bucket to `_lockstep_merges` or,
+below STACK_MIN blocks or above SCAN_MAX^2 padded cells, block by block
+to `_merges`, and reads each block's clusters from its slot log with
+`_clusters`. Every block's clusters and merge log, replayed from its slot
+log, scores compared by `repr` so that -0.0 stays -0.0, must be
+`heap_average_link`'s on that block alone, with `average_link` forced to
+each of its two loops and with its cap between two block sizes.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cdcoref.clustering
 import cdcoref.linkage
 from cdcoref import ClusteringConfig, EvalConfig, Mention, ScoreTable, average_link, run_pipeline
-from cdcoref.clustering import STACK_MIN, cluster_components
-from cdcoref.linkage import _clusters, _replay, average_link_blocks
+from cdcoref.clustering import cluster_components
+from cdcoref.linkage import STACK_MIN, _clusters, _lockstep_merges, _replay
 from helpers import SCAN_CAPS, heap_average_link, scan_max, traced
 from test_components import corpus_config, corpus_of
 
@@ -98,11 +99,11 @@ def batches(draw):
 @settings(max_examples=300, deadline=None)
 @given(blocks=batches(), threshold=st.sampled_from(THRESHOLDS))
 def test_every_block_equals_the_heap_oracle(blocks, threshold):
-    got = average_link_blocks(blocks, threshold)
-    assert len(got) == len(blocks)
-    for (ids, scores), result in zip(blocks, got):
+    logs = _lockstep_merges([symmetric(scores) for _, scores in blocks], threshold)
+    assert len(logs) == len(blocks)
+    for (ids, scores), log in zip(blocks, logs):
         want = oracle(ids, scores, threshold)
-        assert traced(result) == want
+        assert traced(_replay(sorted(ids), log)) == want
         for cap in CAPS:
             with scan_max(cap):
                 assert traced(average_link(ids, scores, threshold)) == want
@@ -112,7 +113,7 @@ def test_every_block_equals_the_heap_oracle(blocks, threshold):
 @given(blocks=batches(), threshold=st.sampled_from(THRESHOLDS))
 def test_buckets_equal_the_heap_oracle_and_stack_only_at_the_cutoff(blocks, threshold):
     handed, stacked = [], []
-    one, many = cdcoref.clustering._merges, cdcoref.clustering._lockstep_merges
+    one, many = cdcoref.linkage._merges, cdcoref.linkage._lockstep_merges
 
     def recording(scores, threshold):
         handed.append(id(scores))
@@ -126,23 +127,25 @@ def test_buckets_equal_the_heap_oracle_and_stack_only_at_the_cutoff(blocks, thre
     want = [oracle(ids, scores, threshold) for ids, scores in blocks]
     for cap in CAPS:
         handed.clear()
+        stacked.clear()
         components = pipeline_blocks(blocks)
-        cdcoref.clustering._merges = recording
-        cdcoref.clustering._lockstep_merges = recording_blocks
+        cdcoref.linkage._merges = recording
+        cdcoref.linkage._lockstep_merges = recording_blocks
         try:
             with scan_max(cap):
                 got = cluster_components(components, threshold)
         finally:
-            cdcoref.clustering._merges = one
-            cdcoref.clustering._lockstep_merges = many
+            cdcoref.linkage._merges = one
+            cdcoref.linkage._lockstep_merges = many
         assert replayed(blocks, got) == want
         # each block once, to one engine
         assert sorted(handed) == sorted(id(scores) for _, scores in components)
-    # a stacked bucket spans sizes within a factor sqrt(2), so it pads
-    # within twice its sum of m^2
-    for sizes in stacked:
-        assert len(sizes) >= STACK_MIN
-        assert max(sizes) ** 2 <= 2 * min(sizes) ** 2
+        # a stacked bucket spans sizes within a factor sqrt(2), so it pads
+        # within twice its sum of m^2, and its padded stack within cap^2
+        for sizes in stacked:
+            assert len(sizes) >= STACK_MIN
+            assert max(sizes) ** 2 <= 2 * min(sizes) ** 2
+            assert len(sizes) * max(sizes) ** 2 <= cap**2
 
 
 def test_a_bucket_below_the_cutoff_runs_block_by_block(monkeypatch):
@@ -152,11 +155,37 @@ def test_a_bucket_below_the_cutoff_runs_block_by_block(monkeypatch):
         scores = symmetric(np.triu(rng.integers(0, 9, (m, m)) * 0.05, 1))
         blocks.append(([Mention(f"b{k}m{i:02d}", "d", 0, 0, "event") for i in range(m)], scores))
     stacked = []
-    many = cdcoref.clustering._lockstep_merges
-    monkeypatch.setattr(cdcoref.clustering, "_lockstep_merges",
+    many = cdcoref.linkage._lockstep_merges
+    monkeypatch.setattr(cdcoref.linkage, "_lockstep_merges",
                         lambda bucket, t: stacked.append(len(bucket)) or many(bucket, t))
     cluster_components(blocks, 0.2)
     assert stacked == [STACK_MIN]
+
+
+@pytest.mark.parametrize("stacks", [True, False])
+@pytest.mark.parametrize("largest", [20, 28])
+def test_a_bucket_stacks_only_within_the_cell_cap(monkeypatch, largest, stacks):
+    # a bucket of STACK_MIN blocks of 20, or of 20 and one of 28, pads to
+    # STACK_MIN * largest^2 cells: at STACK_MIN = 12, 4,800 cells stack under
+    # a cap of 70 (4,900) and not under 69; 9,408 under 97 and not under 96
+    sizes = [20] * (STACK_MIN - 1) + [largest]
+    cap = math.isqrt(STACK_MIN * largest**2 - 1) + (1 if stacks else 0)
+    rng = np.random.default_rng(6)
+    blocks = []
+    for k, m in enumerate(sizes):
+        scores = (rng.integers(0, 5, (m, m)) - 2) * 0.05
+        scores[rng.random((m, m)) < 0.3] = NEG_INF
+        blocks.append(([f"b{k:02d}m{i:02d}" for i in rng.permutation(m).tolist()], scores))
+    calls = []
+    one, many = cdcoref.linkage._merges, cdcoref.linkage._lockstep_merges
+    monkeypatch.setattr(cdcoref.linkage, "_merges",
+                        lambda scores, t: calls.append(1) or one(scores, t))
+    monkeypatch.setattr(cdcoref.linkage, "_lockstep_merges",
+                        lambda bucket, t: calls.append(len(bucket)) or many(bucket, t))
+    with scan_max(cap):
+        got = replayed(blocks, cluster_components(pipeline_blocks(blocks), 0.0))
+    assert got == [oracle(ids, scores, 0.0) for ids, scores in blocks]
+    assert calls == ([STACK_MIN] if stacks else [1] * STACK_MIN)
 
 
 @pytest.mark.parametrize("threshold", [-0.1, 0.0, 0.05])
@@ -237,14 +266,10 @@ def test_errors_are_those_of_the_first_block_average_link_rejects():
         ([fine, twice, nan], "duplicate items"),
         ([fine, wide, nan], "score array has shape (3, 3), expected (2, 2)"),
     ]:
-        with pytest.raises(ValueError) as stacked:
-            average_link_blocks(blocks, 0.0)
-        assert str(stacked.value) == message
         for cap in SCAN_CAPS:
             with scan_max(cap), pytest.raises(ValueError) as first:
                 for ids, scores in blocks:
                     average_link(ids, scores, 0.0)
             assert str(first.value) == message
     with pytest.raises(ValueError, match="threshold must be finite"):
-        average_link_blocks([fine], float("nan"))
-    assert average_link_blocks([], 0.0) == []
+        average_link(*fine, float("nan"))
