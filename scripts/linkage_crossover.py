@@ -11,15 +11,17 @@ and the rest -inf ("never merge"). Calls alternate between the loops, and
 it prints the median time of each per size and density and their ratio.
 The cap belongs where the ratio crosses 1.
 
-With `--blocks B ...`, it times the pipeline's `cluster_components` on B
-equal blocks instead, forcing the lock-step engine (`linkage.STACK_MIN`
-at 1 and `SCAN_MAX` lifted, so that its cell cap cannot send the stack
-block by block) and then the blocks one by one (STACK_MIN above B), and
-prints lock-step time over one-by-one time per block shape and B, each
-next to the B n^2 cells of the padded stack, which the pipeline stacks
-only up to SCAN_MAX^2. The block shapes are those of BENCH_21.json's
-`stack_cutoff` table, or dense blocks of `--sizes`. STACK_MIN belongs at
-the smallest B from which the ratio stays at or below 1.
+With `--blocks B ...`, it times `linkage._merges_per_block`, to which the
+pipeline hands its checked symmetric score arrays, on B equal blocks
+instead: first forcing the lock-step engine (`linkage.STACK_MIN` at 1 and
+`SCAN_MAX` lifted, so that its cell cap cannot send the stack block by
+block), then the blocks one by one (STACK_MIN above B). Both must give the
+same slot logs. It prints lock-step time over one-by-one time per block
+shape and B, each next to the B n^2 cells of the padded stack, which the
+pipeline stacks only up to SCAN_MAX^2. The block shapes are those of
+BENCH_21.json's `stack_cutoff` table, or dense blocks of `--sizes`.
+STACK_MIN belongs at the smallest B from which the ratio stays at or
+below 1.
 
     PYTHONPATH=src python3 scripts/linkage_crossover.py --sizes 160 256 400
     PYTHONPATH=src python3 scripts/linkage_crossover.py --blocks 4 8 12 16
@@ -35,7 +37,7 @@ import time
 
 import numpy as np
 
-from cdcoref import Mention, average_link, clustering, linkage
+from cdcoref import average_link, linkage
 
 DENSITIES = {"dense": 1.0, "12%": 0.12}
 # the linkage constants that force each side of --blocks
@@ -98,27 +100,25 @@ def stacks(args) -> None:
     shapes = [(m, 1.0) for m in args.sizes] if args.sizes else STACK_SHAPES
     print(f"STACK_MIN = {linkage.STACK_MIN}, SCAN_MAX^2 = {linkage.SCAN_MAX**2:,} cells;"
           f" lock-step over one-by-one time, medians over {args.repeats} calls of"
-          " cluster_components per B, each next to B n^2 cells")
+          " _merges_per_block per B, each next to B n^2 cells")
     print(f"{'m':>5} {'scored':>6} " + " ".join(f"{f'B={b}':>15}" for b in args.blocks))
     for m, density in shapes:
         ratios = []
         for count in args.blocks:
             blocks = []
-            for k in range(count):
+            for _ in range(count):
                 scores = np.triu(grid_block(rng, m, density), 1)
                 scores = np.where(np.tri(m, dtype=bool), scores.T, scores)
                 np.fill_diagonal(scores, -np.inf)
-                blocks.append(([Mention(f"b{k:03d}m{i:03d}", "d", 0, 0, "event")
-                                for i in range(m)], scores))
+                blocks.append(scores)
             times: list[list] = [[], []]
             for _ in range(args.repeats):
                 results = []
                 for side, constants in enumerate((LOCKSTEP, ONE_BY_ONE)):
                     # the engines overwrite the arrays they are given
-                    components = [(mentions, scores.copy()) for mentions, scores in blocks]
+                    copies = [scores.copy() for scores in blocks]
                     with forced(linkage, **constants):
-                        took, result = timed(clustering.cluster_components,
-                                             components, args.tau)
+                        took, result = timed(linkage._merges_per_block, copies, args.tau)
                     times[side].append(took)
                     results.append(result)
                 if results[0] != results[1]:

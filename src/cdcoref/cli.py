@@ -8,6 +8,7 @@ Reports go to stdout as aligned text; --json switches to machine format.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .baselines import head_lemma_baseline, singleton_baseline
@@ -183,26 +184,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, building only the named
-    subcommand's parser when `argv` starts with one: it prints that
-    subcommand's help and errors as the full parser would, so the full
-    parser is built only for the rest (top-level help, an unknown
-    subcommand, arguments that no parser recognises)."""
-    if argv and argv[0] in _SUBCOMMANDS:
-        _, arguments, handler = _SUBCOMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"cdcoref {argv[0]}")
-        arguments(parser)
-        args, unrecognised = parser.parse_known_args(argv[1:])
-        if not unrecognised:
-            args.command, args.func = argv[0], handler
-            return args
-    return build_parser().parse_args(argv)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: argparse reads the help
+    width when it prints, not when it builds."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         # argparse exits 2 on usage errors; report those as input errors (1)
         # and keep 2 reserved for data invariant violations

@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import (SCORE_BOUND, Mention, Partition, SchemaError, _bounded_score, read_jsonl,
                      write_jsonl)
 # average_link stays bound here for perfbench/spans.py, which traces it by name
-from .linkage import _clusters, _merges_per_block, average_link
+from .linkage import average_link  # noqa: F401
 
 NEVER_MERGE = float("-inf")
 
@@ -256,20 +256,6 @@ def combine_pair_score(
     if gold_mention_mode:
         return pair_score
     return mention_score_i + mention_score_j + pair_score
-
-
-def cluster_components(
-    components: Sequence[tuple[Sequence[Mention], np.ndarray]], merge_threshold: float
-) -> list[tuple[list[frozenset], list[tuple[int, int, float]]]]:
-    """`average_link` on each (mentions, scores) component, in input order,
-    as its final clusters and (a, b, average) slot log, which `linkage._replay`
-    turns into merges. Mentions come sorted by id, with the symmetric (m, m)
-    `scores` that `harness._component_arrays` checks and builds (-inf on the
-    diagonal), which the engines may overwrite; `linkage._merges_per_block`
-    picks their loops."""
-    ids = [[m.mention_id for m in mentions] for mentions, _ in components]
-    logs = _merges_per_block([scores for _, scores in components], merge_threshold)
-    return [(_clusters(block_ids, log), log) for block_ids, log in zip(ids, logs)]
 
 
 def generate_training_pairs(

@@ -197,22 +197,26 @@ def read_conll_spans(path) -> list[tuple[str, int, int, int]]:
 def import_partition_conll(path, mentions: Sequence[Mention] | None = None) -> Partition:
     """Rebuild a Partition from a CoNLL file.
 
-    With `mentions`, spans are mapped back to the matching mention ids
-    (an unmatched span is an error); without, members are synthesized as
-    `"doc_id:start-end"` strings.
+    With `mentions`, spans are mapped back to the matching mention ids (a
+    span that matches no mention, or more than one, is an error); without,
+    members are synthesized as `"doc_id:start-end"` strings.
     """
-    span_to_id = None
+    ids_of = None
     if mentions is not None:
-        span_to_id = {m.span(): m.mention_id for m in mentions}
+        ids_of = defaultdict(set)
+        for m in mentions:
+            ids_of[m.span()].add(m.mention_id)
     clusters: dict[int, set] = defaultdict(set)
     for doc_id, start, end, cid in read_conll_spans(path):
-        if span_to_id is None:
+        if ids_of is None:
             member = f"{doc_id}:{start}-{end}"
         else:
-            member = span_to_id.get((doc_id, start, end))
-            if member is None:
-                raise SchemaError(
-                    f"{path}: span ({doc_id!r}, {start}, {end}) matches no known mention"
-                )
+            ids = ids_of.get((doc_id, start, end), ())
+            if len(ids) != 1:
+                span, ids = f"{path}: span ({doc_id!r}, {start}, {end})", sorted(ids)
+                if not ids:
+                    raise SchemaError(f"{span} matches no known mention")
+                raise InvariantError(f"{span} matches mentions {ids[0]!r} and {ids[1]!r}")
+            (member,) = ids
         clusters[cid].add(member)
     return Partition(clusters.values())

@@ -30,7 +30,6 @@ import numpy as np
 from .clustering import (
     ClusteringConfig,
     ScoreTable,
-    cluster_components,
     combine_pair_score,
     prune_spans,
     read_mention_scores,
@@ -50,6 +49,7 @@ from .corpus import (
     read_json,
     save_partition_file,
 )
+from .linkage import _check_scores, _clusters, _merges_per_block, _symmetric
 from .metrics import SINGLETON_POLICIES, MetricReport, _Overlap, _report, evaluate
 # cluster_documents and tfidf_vectors stay bound here unused, as
 # perfbench/spans.py wraps them by these names
@@ -190,27 +190,22 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _component_arrays(
     unit: Sequence[Mention], i: np.ndarray, j: np.ndarray, scored: np.ndarray
-) -> tuple[list[frozenset], list[tuple[list[Mention], np.ndarray]]]:
+) -> tuple[list[frozenset], list[tuple[list, np.ndarray]]]:
     """Split one unit, sorted by mention id, with its scored pairs from
     `_combined_scores`, at the connected components of its scored-pair
     graph: no merge can join two components, as their cross sums are -inf.
     Returns a singleton per mention in no scored pair, and per component of
-    two or more mentions, its mentions and their symmetric (m, m) score
-    array, -inf on the diagonal, for `cluster_components`, which checks
-    nothing again. Errors are those of `average_link` on the whole unit."""
+    two or more mentions, its mention ids and their symmetric (m, m) score
+    array, -inf on the diagonal, which `linkage._merges_per_block` takes
+    unchecked. Errors are those of `average_link` on the whole unit, from
+    the same `linkage._check_scores`."""
     ids = [m.mention_id for m in unit]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate items")
-    bad = np.flatnonzero(np.isnan(scored) | (scored == np.inf))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(f"bad score {float(scored[k])!r} for ({ids[i[k]]!r}, {ids[j[k]]!r})")
+    _check_scores(ids, scored, lambda k: (i[k], j[k]))
     n = len(unit)
     if n > 1 and len(i) == n * (n - 1) // 2:  # all pairs scored: no labelling
-        scores = np.full((n, n), -np.inf)
-        upper = ~np.tri(n, dtype=bool)  # all (i, j), in row-major order
-        scores[upper] = scores.T[upper] = scored
-        return [], [(unit, scores)]
+        return [], [(ids, _symmetric(n, scored))]
     label = _components(n, i, j)
     size = np.bincount(label, minlength=n)
     members = np.argsort(label, kind="stable")  # by component, then position
@@ -226,7 +221,7 @@ def _component_arrays(
     buffer[row[i] + rank[j]] = buffer[row[j] + rank[i]] = scored
     roots = np.flatnonzero(size > 1)
     components = [
-        ([unit[p] for p in members[first[r] : first[r] + m].tolist()],
+        ([ids[p] for p in members[first[r] : first[r] + m].tolist()],
          buffer[start[r] : start[r] + m * m].reshape(m, m))
         for r, m in zip(roots.tolist(), size[roots].tolist())
     ]
@@ -304,7 +299,7 @@ def build_response(
 
     response_clusters: list[frozenset] = []
     response_mentions: list[Mention] = []
-    components = []  # of every unit: no merge crosses a unit
+    blocks = []  # (ids, sums) of every unit: no merge crosses a unit
     for (_, doc_ids), unit in zip(units, members):
         if config.mention_source == "predicted":
             unit = prune_spans(
@@ -315,14 +310,15 @@ def build_response(
         response_mentions.extend(unit)
         unit = sorted(unit, key=lambda m: m.mention_id)
         # the unit's pair arrays are freed before the next unit's are built
-        singletons, unit_components = _component_arrays(
+        singletons, unit_blocks = _component_arrays(
             unit,
             *_combined_scores(unit, pair_scores, config.clustering, config.apply_sigmoid),
         )
         response_clusters.extend(singletons)
-        components.extend(unit_components)
-    for clusters, _ in cluster_components(components, config.clustering.merge_threshold):
-        response_clusters.extend(clusters)
+        blocks.extend(unit_blocks)
+    logs = _merges_per_block([sums for _, sums in blocks], config.clustering.merge_threshold)
+    for (ids, _), log in zip(blocks, logs):
+        response_clusters.extend(_clusters(ids, log))
     return Partition(response_clusters), response_mentions
 
 

@@ -32,21 +32,35 @@ class Merge:
 
 
 def _score_matrix(ids: list, pair_score: np.ndarray) -> np.ndarray:
-    """Symmetric (n, n) float64 item-pair scores over `ids`, -inf on the
-    diagonal, copied from the entries above the diagonal."""
+    """`_symmetric` of the checked entries above the diagonal of the (n, n)
+    `pair_score` over `ids`; the gathered entries are freed on return."""
     n = len(ids)
-    scores = np.array(pair_score, dtype=np.float64)
+    scores = np.asarray(pair_score, dtype=np.float64)
     if scores.shape != (n, n):
         raise ValueError(f"score array has shape {scores.shape}, expected {(n, n)}")
-    # copies, not sums, so that -0.0 stays -0.0
-    np.copyto(scores, scores.T, where=np.tri(n, k=-1, dtype=bool))
-    np.fill_diagonal(scores, NEG_INF)
-    bad = np.isnan(scores) | (scores == np.inf)
-    if bad.any():
-        # the first bad entry in row-major order lies above the diagonal
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(f"bad score {float(scores[i, j])!r} for ({ids[i]!r}, {ids[j]!r})")
-    return scores
+    upper = ~np.tri(n, dtype=bool)
+    flat = scores[upper]
+    _check_scores(ids, flat, lambda k: np.argwhere(upper)[k])
+    return _symmetric(n, flat)
+
+
+def _check_scores(ids: list, scores: np.ndarray, pair) -> None:
+    """Reject the first NaN or +inf of flat pair `scores` in row-major
+    order, naming the items at the positions `pair(k)` of its index k."""
+    legal = scores < np.inf  # False for NaN and +inf alone
+    if not legal.all():
+        k = int(legal.argmin())
+        i, j = pair(k)
+        raise ValueError(f"bad score {float(scores[k])!r} for ({ids[i]!r}, {ids[j]!r})")
+
+
+def _symmetric(n: int, scores: np.ndarray) -> np.ndarray:
+    """(n, n) copies of `scores`, the entries above the diagonal in row-major
+    order, on both sides of it (so -0.0 stays -0.0), -inf on the diagonal."""
+    out = np.full((n, n), NEG_INF)
+    upper = ~np.tri(n, dtype=bool)
+    out[upper] = out.T[upper] = scores
+    return out
 
 
 def average_link(
@@ -68,11 +82,11 @@ def average_link(
     allowed and act as "never merge"; NaN and +inf are rejected. Returns
     the final clusters (canonically sorted) and the ordered merge log.
 
-    This checks its input, has `_merges` log each merge of slot b into
-    slot a as (a, b, average), and `_replay`s the log into clusters and
-    Merges. The pipeline's `cluster_components` hands its checked
-    symmetric blocks to `_merges_per_block`, which picks each block's loop,
-    and reads clusters with `_clusters`.
+    This checks its input (`_check_scores`), fills it (`_symmetric`), has
+    `_merges` log each merge of slot b into slot a as (a, b, average), and
+    `_replay`s the log into clusters and Merges. The pipeline checks each
+    unit with `_check_scores`, fills a unit of all pairs with `_symmetric`,
+    has `_merges_per_block` pick each block's loop and reads `_clusters`.
 
     Clusters live in slots of two n x n float64 matrices (16 n^2 bytes:
     5 MB at n = 560, 144 MB at n = 3,000): cluster-pair score sums and

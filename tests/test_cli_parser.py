@@ -1,14 +1,15 @@
 """The command line's help and usage errors, word for word.
 
-`main` builds only the named subcommand's parser; these texts, recorded
-from the parser that builds every subcommand, hold it to the same words.
+`main` parses with one parser per process, `_parser()`; these texts,
+recorded from a fresh `build_parser()`, hold it to the same words.
 Help goes to stdout with exit 0, and a usage error to stderr with exit 1.
 The width is fixed at 80 columns, which argparse reads from COLUMNS.
 """
 
 import pytest
 
-from cdcoref.cli import _parse, build_parser, main
+import cdcoref.cli
+from cdcoref.cli import _parser, build_parser, main
 
 TEXTS = [
     (['--help'], 0, 'out', """\
@@ -162,4 +163,30 @@ def test_help_and_usage_errors_word_for_word(argv, code, stream, text, capsys, m
     ["pipeline", "--config", "run.json"],
 ])
 def test_a_subcommand_parses_as_under_the_full_parser(argv):
-    assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
+    assert vars(_parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cdcoref.cli, "build_parser",
+                        lambda: built.append(1) or build_parser())
+    _parser.cache_clear()
+    try:
+        for argv in (["--help"], ["evaluate", "--help"], ["nope"]):
+            main(argv)
+    finally:
+        _parser.cache_clear()
+    capsys.readouterr()
+    assert built == [1]
+
+
+def test_help_follows_the_width_at_each_call(monkeypatch, capsys):
+    # the one parser formats each text at the COLUMNS of its own call
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(["evaluate", "--help"]) == 0
+        got = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["evaluate", "--help"])
+        assert got == capsys.readouterr().out
+    assert got != TEXTS[1][3]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cdcoref.clustering
+import cdcoref.harness
 import cdcoref.linkage
 from cdcoref import (
     ClusteringConfig,
@@ -70,7 +70,7 @@ def linkage_calls():
     block once."""
     calls, engine_blocks = [], []
     one, stacked = cdcoref.linkage._merges, cdcoref.linkage._lockstep_merges
-    read = cdcoref.clustering._clusters
+    read = cdcoref.harness._clusters
 
     def recording(scores, threshold):
         engine_blocks.append(1)
@@ -86,13 +86,13 @@ def linkage_calls():
 
     cdcoref.linkage._merges = recording
     cdcoref.linkage._lockstep_merges = recording_blocks
-    cdcoref.clustering._clusters = reading
+    cdcoref.harness._clusters = reading
     try:
         yield calls
     finally:
         cdcoref.linkage._merges = one
         cdcoref.linkage._lockstep_merges = stacked
-        cdcoref.clustering._clusters = read
+        cdcoref.harness._clusters = read
         calls.sort(key=min)
     assert len(engine_blocks) == len(calls)
 

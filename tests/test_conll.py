@@ -257,6 +257,21 @@ class TestReader:
         with pytest.raises(SchemaError, match="matches no known mention"):
             import_partition_conll(path, [Mention("m", "d", 5, 5, "event")])
 
+    def test_a_span_of_two_mentions_is_an_invariant_error(self, tmp_path):
+        # e1 and n1 share a span; the file names it, so neither id is right
+        mentions = [Mention("e1", "d", 0, 0, "event"), Mention("e2", "d", 2, 2, "event"),
+                    Mention("n1", "d", 0, 0, "entity"), Mention("a0", "d", 0, 0, "entity")]
+        path = tmp_path / "p.conll"
+        write_partition_conll(path, mentions[:3], Partition([["e1", "e2"]]))
+        with pytest.raises(InvariantError,
+                           match=r"span \('d', 0, 0\) matches mentions 'e1' and 'n1'$"):
+            import_partition_conll(path, mentions[:3])
+        with pytest.raises(InvariantError, match="matches mentions 'a0' and 'e1'$"):
+            import_partition_conll(path, mentions)
+        # a shared span that the file does not name is no error
+        shared = [Mention(x, "d", 1, 1, "entity") for x in ("x", "y")]
+        assert import_partition_conll(path, mentions[:2] + shared) == Partition([["e1", "e2"]])
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "p.conll"
         path.write_text("")

@@ -6,6 +6,7 @@ blocks of SCAN_MAX and SCAN_MAX + 1 items check the cap itself."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,3 +154,21 @@ def test_the_scan_runs_up_to_the_cap_and_the_cached_loop_above(monkeypatch):
         for n in (0, 1, 2, 12, 13):
             average_link([f"m{i:02d}" for i in range(n)], np.zeros((n, n)), 0.0)
     assert ran == ["_scan_merges", "_scan_merges", "_cached_merges"]
+
+
+def test_a_dense_block_peaks_near_its_two_matrices():
+    # the loops hold sums and averages, 2 * 8 n^2 bytes; the 4 n^2 bytes of
+    # entries gathered above the diagonal are freed before the loop runs,
+    # and holding them through it reads about 2.6 * 8 n^2. At tau 0.9 the
+    # cached loop (n > SCAN_MAX) never rescans a large share of its rows.
+    n = 1000
+    scores = np.random.default_rng(0).integers(0, 20, (n, n)) * 0.05
+    ids = [f"m{i:04d}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        _, merges = average_link(ids, scores, 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(merges) > n / 2
+    assert peak < 2.5 * 8 * n * n, peak / (8 * n * n)

@@ -1,14 +1,15 @@
 """The lock-step engine and the size buckets against the heap oracle.
 
 `_lockstep_merges` runs the scan over a stack of independent blocks, and
-`cluster_components` has `linkage._merges_per_block` bucket a run's
-components by size before handing each bucket to `_lockstep_merges` or,
-below STACK_MIN blocks or above SCAN_MAX^2 padded cells, block by block
-to `_merges`, and reads each block's clusters from its slot log with
-`_clusters`. Every block's clusters and merge log, replayed from its slot
-log, scores compared by `repr` so that -0.0 stays -0.0, must be
-`heap_average_link`'s on that block alone, with `average_link` forced to
-each of its two loops and with its cap between two block sizes.
+the pipeline's `build_response` has `linkage._merges_per_block` bucket a
+run's components by size before handing each bucket to `_lockstep_merges`
+or, below STACK_MIN blocks or above SCAN_MAX^2 padded cells, block by
+block to `_merges`, and reads each block's clusters from its slot log with
+`_clusters`; `clustered` here takes that route. Every block's clusters
+and merge log, replayed from its slot log, scores compared by `repr` so
+that -0.0 stays -0.0, must be `heap_average_link`'s on that block alone,
+with `average_link` forced to each of its two loops and with its cap
+between two block sizes.
 """
 
 import math
@@ -20,8 +21,7 @@ from hypothesis import strategies as st
 
 import cdcoref.linkage
 from cdcoref import ClusteringConfig, EvalConfig, Mention, ScoreTable, average_link, run_pipeline
-from cdcoref.clustering import cluster_components
-from cdcoref.linkage import STACK_MIN, _clusters, _lockstep_merges, _replay
+from cdcoref.linkage import STACK_MIN, _clusters, _lockstep_merges, _merges_per_block, _replay
 from helpers import SCAN_CAPS, heap_average_link, scan_max, traced
 from test_components import corpus_config, corpus_of
 
@@ -43,14 +43,20 @@ def symmetric(scores):
 
 
 def pipeline_blocks(blocks):
-    """`cluster_components`' input for (ids, scores) blocks, in fresh
-    arrays, as the engines overwrite them."""
-    return [([Mention(x, "d", 0, 0, "event") for x in sorted(ids)], symmetric(scores))
-            for ids, scores in blocks]
+    """The pipeline's (sorted ids, sums) blocks for (ids, scores) blocks, in
+    fresh arrays, as the engines overwrite them."""
+    return [(sorted(ids), symmetric(scores)) for ids, scores in blocks]
+
+
+def clustered(blocks, threshold):
+    """Each (ids, sums) block's clusters and slot log as `build_response`
+    gets them: the slot logs of `_merges_per_block`, read by `_clusters`."""
+    logs = _merges_per_block([sums for _, sums in blocks], threshold)
+    return [(_clusters(ids, log), log) for (ids, _), log in zip(blocks, logs)]
 
 
 def replayed(blocks, got):
-    """Each block's `cluster_components` result as clusters and merge log,
+    """Each block's `clustered` result as clusters and merge log,
     scores as their repr; its clusters must be those replayed from its
     slot log."""
     out = []
@@ -133,7 +139,7 @@ def test_buckets_equal_the_heap_oracle_and_stack_only_at_the_cutoff(blocks, thre
         cdcoref.linkage._lockstep_merges = recording_blocks
         try:
             with scan_max(cap):
-                got = cluster_components(components, threshold)
+                got = clustered(components, threshold)
         finally:
             cdcoref.linkage._merges = one
             cdcoref.linkage._lockstep_merges = many
@@ -153,12 +159,12 @@ def test_a_bucket_below_the_cutoff_runs_block_by_block(monkeypatch):
     blocks = []
     for k, m in enumerate([6] * (STACK_MIN - 1) + [20] * STACK_MIN):
         scores = symmetric(np.triu(rng.integers(0, 9, (m, m)) * 0.05, 1))
-        blocks.append(([Mention(f"b{k}m{i:02d}", "d", 0, 0, "event") for i in range(m)], scores))
+        blocks.append(([f"b{k}m{i:02d}" for i in range(m)], scores))
     stacked = []
     many = cdcoref.linkage._lockstep_merges
     monkeypatch.setattr(cdcoref.linkage, "_lockstep_merges",
                         lambda bucket, t: stacked.append(len(bucket)) or many(bucket, t))
-    cluster_components(blocks, 0.2)
+    clustered(blocks, 0.2)
     assert stacked == [STACK_MIN]
 
 
@@ -183,7 +189,7 @@ def test_a_bucket_stacks_only_within_the_cell_cap(monkeypatch, largest, stacks):
     monkeypatch.setattr(cdcoref.linkage, "_lockstep_merges",
                         lambda bucket, t: calls.append(len(bucket)) or many(bucket, t))
     with scan_max(cap):
-        got = replayed(blocks, cluster_components(pipeline_blocks(blocks), 0.0))
+        got = replayed(blocks, clustered(pipeline_blocks(blocks), 0.0))
     assert got == [oracle(ids, scores, 0.0) for ids, scores in blocks]
     assert calls == ([STACK_MIN] if stacks else [1] * STACK_MIN)
 
@@ -203,7 +209,7 @@ def test_buckets_at_and_below_the_cutoff_equal_the_heap_oracle(threshold):
         if k in (0, STACK_MIN - 1):
             scores[:] = NEG_INF
         blocks.append(([f"b{k:02d}m{i:02d}" for i in rng.permutation(m).tolist()], scores))
-    got = replayed(blocks, cluster_components(pipeline_blocks(blocks), threshold))
+    got = replayed(blocks, clustered(pipeline_blocks(blocks), threshold))
     assert got == [oracle(ids, scores, threshold) for ids, scores in blocks]
     if threshold <= 0.0:
         assert any(score == "-0.0" for _, log in got for *_, score in log)
