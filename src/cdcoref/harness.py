@@ -13,9 +13,16 @@ A `Corpus` is never mutated after construction, so what depends only on
 the corpus and the unit settings, never on tau, is computed once per
 `Corpus` instance and kept on it: the evaluation units per (unit_level,
 doc_threshold), predicted topics included, and the span-keyed gold key per
-mention_type. Repeated runs on one loaded corpus, such as an in-process
-tau sweep, gain; a one-shot `cdcoref pipeline` or `cluster` run does the
-same work as before.
+mention_type. The corpus also keeps one response slot (`_Build`): the
+tau-free part of the last `build_response` call, that is its selected
+mentions, its singletons and each block's ids and slot log, with the
+inputs it was built from and the tau its logs were made at. A later call
+with equal inputs and a tau at or above that one cuts each log where its
+averages first fall below the new tau, as a merge sequence does not depend
+on tau; other inputs, or a lower tau, rebuild and replace the slot. The
+slot keeps the last score table alive. Repeated runs on one loaded corpus,
+such as an in-process tau sweep in ascending order, gain; a one-shot
+`cdcoref pipeline` or `cluster` run does the same work as before.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -248,6 +255,18 @@ def partition_on_spans(
         raise InvariantError(f"span identity is ambiguous across clusters: {e}") from e
 
 
+class _Build(NamedTuple):
+    """The corpus's response slot: the tau-free part of one `build_response`
+    call, what it was built from and the tau its slot logs were made at."""
+
+    inputs: tuple  # the config's fields but merge_threshold, mention scores, candidates
+    pair_scores: ScoreTable | None  # matched by identity
+    tau: float
+    singletons: list[frozenset]
+    blocks: list[tuple[list, list]]  # each block's ids and slot log
+    mentions: list[Mention]
+
+
 def build_response(
     corpus: Corpus,
     config: EvalConfig,
@@ -259,7 +278,41 @@ def build_response(
 
     Returns the pooled response partition over mention ids, plus the mentions
     that survived selection (gold or pruned), with `mention_scores` applied.
+    A hit on the corpus's response slot (see the module docstring) keeps
+    each block's slot log up to its first average below tau: a prefix, not
+    a filter, as rounding can make a log non-monotone.
     """
+    tau = config.clustering.merge_threshold
+    inputs = (
+        {**vars(config), "clustering": {**vars(config.clustering), "merge_threshold": None}},
+        None if mention_scores is None else dict(mention_scores),
+        None if candidates is None else tuple(candidates),
+    )
+    kept = corpus._memo.get("response")
+    if (
+        kept is None
+        or tau < kept.tau
+        or kept.pair_scores is not pair_scores
+        or kept.inputs != inputs
+    ):
+        built = _build_response(corpus, config, pair_scores, *inputs[1:])
+        corpus._memo["response"] = kept = _Build(inputs, pair_scores, tau, *built)
+    clusters = list(kept.singletons)
+    for ids, log in kept.blocks:
+        if tau > kept.tau:  # at kept.tau, no average in the log is below tau
+            log = log[: next((k for k, (_, _, s) in enumerate(log) if s < tau), len(log))]
+        clusters.extend(_clusters(ids, log))
+    return Partition(clusters), list(kept.mentions)
+
+
+def _build_response(
+    corpus: Corpus,
+    config: EvalConfig,
+    pair_scores: ScoreTable | None,
+    mention_scores: dict | None,
+    candidates: tuple | None,
+) -> tuple[list[frozenset], list[tuple[list, list]], list[Mention]]:
+    """A call's singletons, blocks and mentions, its slot logs made at tau."""
     if pair_scores is None:
         pair_scores = ScoreTable()
 
@@ -317,9 +370,8 @@ def build_response(
         response_clusters.extend(singletons)
         blocks.extend(unit_blocks)
     logs = _merges_per_block([sums for _, sums in blocks], config.clustering.merge_threshold)
-    for (ids, _), log in zip(blocks, logs):
-        response_clusters.extend(_clusters(ids, log))
-    return Partition(response_clusters), response_mentions
+    blocks = [(ids, log) for (ids, _), log in zip(blocks, logs)]
+    return response_clusters, blocks, response_mentions
 
 
 def run_pipeline(

@@ -20,6 +20,8 @@ SCAN_MAX = 256
 # B = 4, 0.75-0.98 at B = 8 (0.89-0.98 at 70 items, near break-even) and
 # 0.60-0.84 at B = 12 (scripts/linkage_crossover.py --blocks, two runs)
 STACK_MIN = 12
+# the most stale rows that `_cached_merges` copies to rescan at once
+RESCAN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -228,9 +230,12 @@ def _cached_merges(sums: np.ndarray, threshold: float) -> list[tuple[int, int, f
         better = (col > head_best) | ((col == head_best) & (head_partner > a))
         head_best[better] = col[better]
         head_partner[better] = a
-        # a is stale itself, as partner[a] == b
+        # a is stale itself, as partner[a] == b; rescanned a chunk of rows
+        # at a time, so that no copy of every stale row is held at once
         rows = stale[stale != b]
-        partner[rows] = avg[rows].argmax(axis=1)
+        for start in range(0, len(rows), RESCAN_ROWS):
+            chunk = rows[start : start + RESCAN_ROWS]
+            partner[chunk] = avg[chunk].argmax(axis=1)
         best[rows] = avg[rows, partner[rows]]
     return log
 

@@ -255,7 +255,8 @@ def test_many_components_allocate_far_below_the_dense_unit():
         for k, (a, b) in enumerate(itertools.combinations(group, 2))
     })
     corpus, config = corpus_of(ids), corpus_config(0.5)
-    build_response(corpus, config, table)  # the corpus memo, outside the trace
+    # the corpus memo, outside the trace; a lower tau then builds anew
+    build_response(corpus, corpus_config(1.0), table)
     tracemalloc.start()
     try:
         part, _ = build_response(corpus, config, table)

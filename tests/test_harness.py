@@ -660,6 +660,50 @@ def sweep_config(tau, unit_level="predicted_topic", doc_threshold=0.05, mention_
     )
 
 
+def predicted_inputs(data, seed):
+    """Candidate spans of one and two tokens over `data`'s documents, with
+    mention scores on a grid, overrides for some of them, and pair scores
+    within each topic on the non-dyadic 0.05 grid, so averages round."""
+    rng = random.Random(seed)
+    candidates = []
+    for doc in data["documents"]:
+        for start in range(len(doc["tokens"])):
+            for end in (start, start + 1)[: 1 + (start + 1 < len(doc["tokens"]))]:
+                if rng.random() < 0.6:
+                    candidates.append(candidate(
+                        f"{doc['doc_id']}c{start}-{end}", doc["doc_id"], start, end,
+                        rng.choice((-0.5, 0.0, 0.25, 0.5, 1.0)),
+                        rng.choice(("event", "entity"))))
+    topic = {d["doc_id"]: d["topic_id"] for d in data["documents"]}
+    scores = ScoreTable({
+        (a.mention_id, b.mention_id): rng.randrange(-4, 12) * 0.05
+        for i, a in enumerate(candidates) for b in candidates[i + 1:]
+        if topic[a.doc_id] == topic[b.doc_id] and rng.random() < 0.6
+    })
+    overrides = {m.mention_id: rng.choice((-0.25, 0.5, 0.75))
+                 for m in candidates if rng.random() < 0.3}
+    return candidates, overrides, scores
+
+
+def predicted_config(tau, unit_level, mention_type="event", prune_ratio=0.4, sigmoid=False):
+    return EvalConfig(
+        unit_level=unit_level,
+        mention_source="predicted",
+        mention_type=mention_type,
+        clustering=ClusteringConfig(tau, prune_ratio),
+        doc_threshold=0.05 if unit_level == "predicted_topic" else None,
+        apply_sigmoid=sigmoid,
+    )
+
+
+def outcome(corpus, config, *inputs):
+    """What `run_pipeline` computes, with the selected mentions: the
+    response, the report as JSON text and the mentions."""
+    response, mentions = build_response(corpus, config, *inputs)
+    report = harness._score_response(corpus, config, response, mentions)
+    return response, report.to_json(), mentions
+
+
 def run_bytes(corpus, config, scores):
     """A run's partition, report and units, as text to compare bytewise."""
     partition, report = run_pipeline(corpus, config, scores)
@@ -669,8 +713,9 @@ def run_bytes(corpus, config, scores):
 
 class TestRunInvariantMemo:
     """Units and the span-keyed gold key are computed once per Corpus
-    instance; no sequence of runs on one corpus may tell them apart from
-    runs on a freshly loaded one."""
+    instance, and the tau-free part of the last response is kept on it;
+    no sequence of runs on one corpus may tell them apart from runs on a
+    freshly loaded one."""
 
     TAUS = (0.2, 0.4, 0.5, 0.6, 0.8)
 
@@ -693,6 +738,115 @@ class TestRunInvariantMemo:
             assert run_bytes(shared, config, scores) == run_bytes(load_corpus(path), config, scores)
         # the predicted-topic settings grouped different units
         assert len({tuple(evaluation_units(shared, c)) for c in configs}) >= 3
+
+    @staticmethod
+    def merge_averages(corpus, config, inputs):
+        """The sorted distinct averages of every merge at `config`'s tau."""
+        build_response(corpus, config, *inputs)
+        logs = [log for _, log in corpus._memo["response"].blocks]
+        return sorted({score for log in logs for _, _, score in log})
+
+    def test_predicted_sweeps_match_fresh_corpus(self, tmp_path):
+        data, _ = sweep_corpus_data(seed=5)
+        path = write_json(tmp_path / "sweep.json", data)
+        shared = load_corpus(path)
+        candidates, overrides, scores = predicted_inputs(data, seed=5)
+        inputs = [scores, overrides, candidates]
+
+        def check(config, *args):
+            args = args or inputs
+            got = outcome(shared, config, *args)
+            assert got == outcome(load_corpus(path), config, *args)
+            return got
+
+        for level in ("gold_topic", "predicted_topic", "corpus"):
+            averages = self.merge_averages(
+                load_corpus(path), predicted_config(-10.0, level), inputs)
+            assert len(averages) > 10
+            # merge averages themselves, and a tau between two of them
+            taus = [averages[len(averages) * k // 5] for k in range(5)]
+            taus.append((taus[1] + averages[averages.index(taus[1]) + 1]) / 2)
+            others = [
+                predicted_config(taus[2], "gold_subtopic"),
+                predicted_config(taus[2], level, mention_type="all"),
+                predicted_config(taus[2], level, prune_ratio=0.25),
+                predicted_config(0.5, level, sigmoid=True),
+            ]
+            sweep = [predicted_config(t, level) for t in sorted(taus)]
+            repeated = [sweep[k] for k in (0, 0, 3, 1, 1, 5, 5, 2)]
+            interleaved = [c for pair in zip(sweep, others) for c in pair]
+            responses = [check(c)[0] for c in sweep + sweep[::-1] + repeated + interleaved]
+            # the sweep's responses differ, so the cut moved
+            assert len(set(responses[: len(sweep)])) >= 4
+
+        config = predicted_config(taus[3], "gold_topic")
+        low = predicted_config(taus[0], "gold_topic")
+        check(low)
+        # inputs changed in place between calls
+        kept = check(config)[2]
+        overrides[kept[0].mention_id] = 2.0
+        check(config)
+        del overrides[next(iter(overrides))]
+        check(config)
+        candidates.append(candidate("doc00extra", "doc00", 0, 0, 3.0))
+        check(config)
+        candidates[0] = replace(candidates[0], mention_score=-1.0)
+        check(config)
+        candidates.pop()
+        check(config)
+        # an equal but distinct table, and none
+        check(config, ScoreTable(dict(scores.items())), overrides, candidates)
+        check(low, ScoreTable(dict(scores.items())), overrides, candidates)
+        check(config, None, overrides, candidates)
+        check(config, None, overrides, candidates)
+        check(config, scores, None, candidates)
+
+        # a call that raises stores nothing: the same call raises again
+        bad = candidates + [candidate("doc00none", "doc00", 1, 1, None)]
+        for _ in range(2):
+            with pytest.raises(SchemaError, match=r"^candidate 'doc00none' has no mention score$"):
+                build_response(shared, config, scores, overrides, bad)
+        check(config)
+        check(low)
+
+    def test_a_non_monotone_log_is_cut_not_filtered(self, tmp_path):
+        # three scores of 0.1 sum to 0.30000000000000004, so a cluster of
+        # three meets a fourth mention at an average above 0.1, after merges
+        # at 0.1: above 0.1 the engine stops at the first merge
+        data, _ = sweep_corpus_data(seed=7)
+        path = write_json(tmp_path / "sweep.json", data)
+        ids = sorted(m["mention_id"] for m in data["mentions"])
+        scores = ScoreTable({(a, b): 0.1 for i, a in enumerate(ids) for b in ids[i + 1:]})
+        shared = load_corpus(path)
+        above = math.nextafter(0.1, 1.0)
+        taus = [0.1, above, math.nextafter(above, 1.0), 0.1, above]
+        for tau in taus:
+            config = sweep_config(tau, unit_level="corpus", mention_type="all")
+            got = outcome(shared, config, scores)
+            assert got == outcome(load_corpus(path), config, scores)
+            if tau > 0.1:
+                assert len(got[0]) == len(ids)
+        averages = [score for _, log in shared._memo["response"].blocks for _, _, score in log]
+        assert averages[0] == 0.1 and max(averages) > above
+
+    def test_an_ascending_sweep_links_once(self, tmp_path, monkeypatch):
+        data, _ = sweep_corpus_data(seed=6)
+        path = write_json(tmp_path / "sweep.json", data)
+        inputs = predicted_inputs(data, seed=6)[::-1]
+        calls, engine = [], harness._merges_per_block
+
+        def counted(blocks, threshold):
+            calls.append(threshold)
+            return engine(blocks, threshold)
+
+        monkeypatch.setattr(harness, "_merges_per_block", counted)
+        taus = [-1.0, 0.0, 0.5, 1.0, 1.5]
+        for order in (taus, taus[::-1]):
+            calls.clear()
+            corpus = load_corpus(path)
+            for tau in order:
+                run_pipeline(corpus, predicted_config(tau, "gold_topic"), *inputs)
+            assert calls == (taus[:1] if order == taus else order)
 
     def test_grouping_runs_once_per_setting(self, tmp_path, monkeypatch):
         data, scores = sweep_corpus_data(seed=4)
