@@ -40,6 +40,7 @@ from .harness import (
     run_evaluation,
     run_pipeline,
     run_pipeline_from_config,
+    run_sweep_from_config,
     save_partition_file,
 )
 from .linkage import Merge, average_link

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 
 from .baselines import head_lemma_baseline, singleton_baseline
@@ -17,9 +18,11 @@ from .corpus import InvariantError, CorpusError, load_corpus
 from .harness import (
     MENTION_TYPE_CHOICES,
     _config_from_json,
-    _response_from_paths,
+    _load_inputs,
+    build_response,
+    response_members,
     run_evaluation,
-    run_pipeline_from_config,
+    run_sweep_from_config,
     save_partition_file,
 )
 from .topics import group_documents, write_topics
@@ -63,11 +66,12 @@ def _cmd_cluster(args) -> int:
         },
         "sigmoid": args.sigmoid,
     }
-    config, paths = _config_from_json(raw, "")
-    _, response, _ = _response_from_paths(config, paths)
-    if not paths["output"]:
-        # stdout gets the clusters only; a response file carries the mentions
-        save_partition_file(None, response)
+    [config], paths = _config_from_json(raw, "")
+    corpus, *inputs = _load_inputs(paths)
+    response, mentions = build_response(corpus, config, *inputs)
+    # stdout gets the clusters only; a response file carries the mentions
+    members = response_members(response, mentions) if paths["output"] else None
+    save_partition_file(paths["output"], response, members)
     return 0
 
 
@@ -100,8 +104,13 @@ def _cmd_export_pairs(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    _, report = run_pipeline_from_config(args.config)
-    _print_report(report, args.json)
+    runs = run_sweep_from_config(args.config)
+    if len(runs) == 1:
+        _print_report(runs[0][2], args.json)
+    elif args.json:
+        print(json.dumps([{"tau": tau, **report.to_dict()} for tau, _, report in runs], indent=2))
+    else:
+        print("\n\n".join(f"tau {tau!r}\n{report.to_text()}" for tau, _, report in runs))
     return 0
 
 

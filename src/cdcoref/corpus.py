@@ -136,9 +136,9 @@ class Corpus:
     """A validated corpus, never mutated after construction (`documents`
     is a read-only copy). `_memo` holds what `harness` derives from it
     alone, plus one response slot: the tau-free part of the last
-    `build_response` call, which serves a later call with equal inputs at
-    that tau or above (a lower tau rebuilds it) and keeps that call's score
-    table alive. `==`, `repr` and `dataclasses.replace` ignore it."""
+    `build_response` call, which serves a later call with the same inputs
+    at that tau or above (a lower tau rebuilds it) and keeps that call's
+    score table alive. `==`, `repr` and `dataclasses.replace` ignore it."""
 
     documents: Mapping[str, Document]
     gold_mentions: tuple[Mention, ...]

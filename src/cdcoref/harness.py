@@ -16,20 +16,26 @@ doc_threshold), predicted topics included, and the span-keyed gold key per
 mention_type. The corpus also keeps one response slot (`_Build`): the
 tau-free part of the last `build_response` call, that is its selected
 mentions, its singletons and each block's ids and slot log, with the
-inputs it was built from and the tau its logs were made at. A later call
-with equal inputs and a tau at or above that one cuts each log where its
+inputs it was built from and the tau its logs were made at. The inputs are
+the config but for merge_threshold and singleton_policy (compared by
+`==`), the score table itself, and copies of the mention scores and the
+candidates, whose values are compared by identity. A later call with the
+same inputs and a tau at or above the slot's cuts each log where its
 averages first fall below the new tau, as a merge sequence does not depend
 on tau; other inputs, or a lower tau, rebuild and replace the slot. The
-slot keeps the last score table alive. Repeated runs on one loaded corpus,
-such as an in-process tau sweep in ascending order, gain; a one-shot
-`cdcoref pipeline` or `cluster` run does the same work as before.
+slot keeps the last score table alive. Repeated runs on one loaded corpus
+gain: a pipeline config whose `clustering.tau` is a list (`cdcoref
+pipeline`, `run_sweep_from_config`) runs its taus in ascending order, so
+it loads, builds and links once. A one-shot run at one tau does the same
+work as before.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import is_
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -259,12 +265,27 @@ class _Build(NamedTuple):
     """The corpus's response slot: the tau-free part of one `build_response`
     call, what it was built from and the tau its slot logs were made at."""
 
-    inputs: tuple  # the config's fields but merge_threshold, mention scores, candidates
+    config: dict  # the config's fields but merge_threshold and singleton_policy
     pair_scores: ScoreTable | None  # matched by identity
+    mention_scores: dict | None  # a copy; values matched by identity
+    candidates: tuple | None  # a copy; mentions matched by identity
     tau: float
     singletons: list[frozenset]
     blocks: list[tuple[list, list]]  # each block's ids and slot log
     mentions: list[Mention]
+
+
+def _same_objects(kept, now) -> bool:
+    """Whether two copies (dicts, tuples or None) hold the same objects in
+    the same places. Identity, not `==`, as equal scores that differ in
+    sign (0.0, -0.0) or type (1, 1.0) are written differently."""
+    if kept is None or now is None:
+        return kept is now
+    if isinstance(kept, dict):
+        return kept.keys() == now.keys() and all(
+            map(is_, kept.values(), map(now.__getitem__, kept))
+        )
+    return len(kept) == len(now) and all(map(is_, kept, now))
 
 
 def build_response(
@@ -283,20 +304,27 @@ def build_response(
     a filter, as rounding can make a log non-monotone.
     """
     tau = config.clustering.merge_threshold
-    inputs = (
-        {**vars(config), "clustering": {**vars(config.clustering), "merge_threshold": None}},
-        None if mention_scores is None else dict(mention_scores),
-        None if candidates is None else tuple(candidates),
-    )
+    fields = {
+        **vars(config),
+        "singleton_policy": None,
+        "clustering": {**vars(config.clustering), "merge_threshold": None},
+    }
+    if mention_scores is not None:
+        mention_scores = dict(mention_scores)
+    if candidates is not None:
+        candidates = tuple(candidates)
     kept = corpus._memo.get("response")
     if (
         kept is None
         or tau < kept.tau
         or kept.pair_scores is not pair_scores
-        or kept.inputs != inputs
+        or kept.config != fields
+        or not _same_objects(kept.mention_scores, mention_scores)
+        or not _same_objects(kept.candidates, candidates)
     ):
-        built = _build_response(corpus, config, pair_scores, *inputs[1:])
-        corpus._memo["response"] = kept = _Build(inputs, pair_scores, tau, *built)
+        built = _build_response(corpus, config, pair_scores, mention_scores, candidates)
+        kept = _Build(fields, pair_scores, mention_scores, candidates, tau, *built)
+        corpus._memo["response"] = kept
     clusters = list(kept.singletons)
     for ids, log in kept.blocks:
         if tau > kept.tau:  # at kept.tau, no average in the log is below tau
@@ -491,18 +519,28 @@ def _coded_table(key: tuple, response: tuple, omitted: bool) -> _Overlap | None:
     return _Overlap(key_of[shared] * width + response_of[shared], width, key_sizes, response_sizes)
 
 
-def _config_from_json(raw: Mapping, base: str) -> tuple[EvalConfig, dict]:
-    """An EvalConfig and the input and output paths, resolved against `base`;
-    an empty or absent optional path is None."""
+def _config_from_json(raw: Mapping, base: str) -> tuple[list[EvalConfig], dict]:
+    """The EvalConfigs of a config, one per tau of its `clustering.tau` (a
+    number, or a non-empty list of numbers) in that order, and the input
+    and output paths, resolved against `base`; an empty or absent optional
+    path is None."""
     paths = {"corpus": os.path.join(base, _require(raw, "corpus", str, ""))}
     for key in ("scores", "mention_scores", "candidates", "output"):
         value = _require(raw, key, str, "", None)
         paths[key] = os.path.join(base, value) if value else None
     source = _require(raw, "mention_source", str, "", "gold")
     cc = _require(raw, "clustering", dict, "", None)
+    taus = None if cc is None else cc.get("tau")
+    if type(taus) is list:
+        if not taus:
+            raise SchemaError("clustering.tau: expected at least one tau")
+        taus = [_require(dict(enumerate(taus)), k, float, "clustering.tau")
+                for k in range(len(taus))]
+    elif cc is not None:
+        taus = [_require(cc, "tau", float, "clustering")]
     try:
         clustering = None if cc is None else ClusteringConfig(
-            merge_threshold=_require(cc, "tau", float, "clustering"),
+            merge_threshold=taus[0],
             prune_ratio=_require(cc, "lambda", float, "clustering"),
             gold_mention_mode=_require(
                 cc, "gold_mention_mode", bool, "clustering", source == "gold"
@@ -518,9 +556,20 @@ def _config_from_json(raw: Mapping, base: str) -> tuple[EvalConfig, dict]:
             doc_threshold=_require(raw, "doc_threshold", float, "", None),
             apply_sigmoid=_require(raw, "sigmoid", bool, "", False),
         )
+        configs = [config] + [
+            replace(config, clustering=replace(clustering, merge_threshold=tau))
+            for tau in (taus or [])[1:]
+        ]
     except ValueError as e:
         raise SchemaError(str(e)) from e
-    return config, paths
+    if len(configs) > 1 and paths["output"]:
+        raise SchemaError("output: needs a single clustering.tau")
+    return configs, paths
+
+
+def _read_config(config_path) -> tuple[list[EvalConfig], dict]:
+    base = os.path.dirname(os.path.abspath(config_path))
+    return read_json(config_path, lambda raw: _config_from_json(raw, base))
 
 
 def run_pipeline_from_config(config_path) -> tuple[Partition, MetricReport]:
@@ -530,29 +579,44 @@ def run_pipeline_from_config(config_path) -> tuple[Partition, MetricReport]:
     config file): {"corpus", "unit_level", "mention_source",
     "singleton_policy", "mention_type", "clustering": {"tau", "lambda",
     "gold_mention_mode", "max_span_width"}, "doc_threshold", "sigmoid",
-    "scores", "mention_scores", "candidates", "output"}.
+    "scores", "mention_scores", "candidates", "output"}. A list of taus is
+    a sweep, which `run_sweep_from_config` runs.
     """
-    base = os.path.dirname(os.path.abspath(config_path))
-    config, paths = read_json(config_path, lambda raw: _config_from_json(raw, base))
-    corpus, response, mentions = _response_from_paths(config, paths)
-    return response, _score_response(corpus, config, response, mentions)
+    configs, paths = _read_config(config_path)
+    if len(configs) > 1:
+        raise SchemaError(f"{config_path}: clustering.tau: expected a number")
+    [(_, response, report)] = _run_sweep(configs, paths)
+    return response, report
 
 
-def _response_from_paths(
-    config: EvalConfig, paths: Mapping
-) -> tuple[Corpus, Partition, list[Mention]]:
-    """Load the inputs that `paths` names, build the pooled response, and
-    write it with its mention table to the output path, if there is one.
-    Returns the corpus, the response and the selected mentions."""
+def run_sweep_from_config(config_path) -> list[tuple[float, Partition, MetricReport]]:
+    """Execute the pipeline of a JSON config file once per tau of its
+    `clustering.tau`, on inputs loaded once, and return (tau, response,
+    report) per tau in the file's order. The taus run in ascending order,
+    so the corpus's response slot builds and links once for the sweep."""
+    return _run_sweep(*_read_config(config_path))
+
+
+def _run_sweep(configs: list[EvalConfig], paths: Mapping) -> list[tuple]:
+    corpus, *inputs = _load_inputs(paths)
+    runs = {}
+    for config in sorted(configs, key=lambda c: c.clustering.merge_threshold):
+        tau = config.clustering.merge_threshold
+        if tau not in runs:
+            response, mentions = build_response(corpus, config, *inputs)
+            runs[tau] = response, _score_response(corpus, config, response, mentions)
+    if paths["output"]:  # with a single tau, as the config was checked
+        save_partition_file(paths["output"], response, response_members(response, mentions))
+    return [(c.clustering.merge_threshold, *runs[c.clustering.merge_threshold]) for c in configs]
+
+
+def _load_inputs(paths: Mapping) -> tuple:
+    """The corpus, pair scores, mention scores and candidates that `paths`
+    names, each None where no path is given (the corpus is required)."""
     corpus = load_corpus(paths["corpus"])
     pair_scores = read_score_file(paths["scores"]) if paths["scores"] else None
     mention_scores = (
         read_mention_scores(paths["mention_scores"]) if paths["mention_scores"] else None
     )
     candidates = load_candidates(paths["candidates"]) if paths["candidates"] else None
-    response, mentions = build_response(
-        corpus, config, pair_scores, mention_scores, candidates
-    )
-    if paths["output"]:
-        save_partition_file(paths["output"], response, response_members(response, mentions))
-    return corpus, response, mentions
+    return corpus, pair_scores, mention_scores, candidates

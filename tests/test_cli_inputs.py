@@ -360,6 +360,44 @@ def test_base_config_runs(tmp_path, inputs):
     assert run_captured(["pipeline", "--config", config]) == (0, "")
 
 
+def pipeline_stdout(capsys, config: dict, path, *flags) -> str:
+    assert main(["pipeline", "--config", write_json(path, config), *flags]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_tau_list_prints_each_run(tmp_path, inputs, capsys, flags):
+    # tau 0.5 merges the lemma pairs, 1.5 none
+    single = {tau: pipeline_stdout(capsys, with_field(BASE_CONFIG, "clustering.tau", tau),
+                                   tmp_path / "run.json", *flags) for tau in (0.5, 1.5)}
+    assert single[0.5] != single[1.5]
+    one = with_field(BASE_CONFIG, "clustering.tau", [0.5])
+    assert pipeline_stdout(capsys, one, tmp_path / "run.json", *flags) == single[0.5]
+    taus = [1.5, 0.5, 1.5]
+    out = pipeline_stdout(capsys, with_field(BASE_CONFIG, "clustering.tau", taus),
+                          tmp_path / "run.json", *flags)
+    if flags:
+        assert json.loads(out) == [{"tau": t, **json.loads(single[t])} for t in taus]
+    else:
+        assert out == "\n".join(f"tau {t}\n{single[t]}" for t in taus)
+
+
+@pytest.mark.parametrize(
+    "taus, output, message",
+    [
+        ([], None, "clustering.tau: expected at least one tau"),
+        ([0.5, "0.6"], None, "clustering.tau.1: expected a number"),
+        ([0.5, 0.6], "out.json", "output: needs a single clustering.tau"),
+    ],
+)
+def test_a_bad_tau_list_is_input_error(tmp_path, inputs, taus, output, message):
+    config = {**with_field(BASE_CONFIG, "clustering.tau", taus), "output": output}
+    path = write_json(tmp_path / "run.json", config)
+    code, err = run_captured(["pipeline", "--config", path])
+    assert (code, err) == (1, f"error: {path}: {message}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("fuzz")

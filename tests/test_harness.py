@@ -31,8 +31,12 @@ from cdcoref import (
     run_evaluation,
     run_pipeline,
     run_pipeline_from_config,
+    run_sweep_from_config,
     save_partition_file,
+    write_score_file,
 )
+from cdcoref.corpus import mention_to_json
+from cdcoref.harness import response_members
 from conftest import write_json
 from helpers import lemma_score_table, score_lookup
 
@@ -540,6 +544,60 @@ class TestPipelineConfigFile:
             run_pipeline_from_config(config_path)
 
 
+class TestSweepConfigFile:
+    """A pipeline config whose `clustering.tau` is a list runs each tau on
+    inputs loaded once, and links once."""
+
+    def write_config(self, tmp_path, taus, name="run.json", **extra):
+        data, _ = sweep_corpus_data(seed=9)
+        write_json(tmp_path / "corpus.json", data)
+        candidates, overrides, scores = predicted_inputs(data, seed=9)
+        write_score_file(tmp_path / "scores.jsonl", scores)
+        write_json(tmp_path / "cands.json",
+                   {"mentions": [mention_to_json(m) for m in candidates]})
+        (tmp_path / "ms.jsonl").write_text("".join(
+            json.dumps({"mention_id": k, "score": v}) + "\n" for k, v in overrides.items()))
+        config = {
+            "corpus": "corpus.json", "scores": "scores.jsonl",
+            "candidates": "cands.json", "mention_scores": "ms.jsonl",
+            "mention_source": "predicted", "unit_level": "gold_topic",
+            "mention_type": "event", "clustering": {"tau": taus, "lambda": 0.4},
+            **extra,
+        }
+        return write_json(tmp_path / name, config)
+
+    def test_each_tau_matches_its_own_run(self, tmp_path, monkeypatch):
+        calls, engine = [], harness._merges_per_block
+
+        def counted(blocks, threshold):
+            calls.append(threshold)
+            return engine(blocks, threshold)
+
+        monkeypatch.setattr(harness, "_merges_per_block", counted)
+        taus = [0.8, 0.2, 1.5, 0.2, -1.0, 0.5]
+        runs = run_sweep_from_config(self.write_config(tmp_path, taus))
+        assert calls == [-1.0]
+        assert [tau for tau, _, _ in runs] == taus
+        responses = set()
+        for k, (tau, response, report) in enumerate(runs):
+            single = self.write_config(tmp_path, tau, f"run{k}.json", output=f"out{k}.json")
+            alone, alone_report = run_pipeline_from_config(single)
+            assert response == alone == load_partition_file(tmp_path / f"out{k}.json")[0]
+            assert report.to_json() == alone_report.to_json()
+            responses.add(response)
+        assert len(responses) >= 4
+
+    def test_a_list_needs_the_sweep_and_no_output(self, tmp_path):
+        path = self.write_config(tmp_path, [0.5, 0.6])
+        with pytest.raises(SchemaError, match=r"run\.json: clustering\.tau: expected a number$"):
+            run_pipeline_from_config(path)
+        run_pipeline_from_config(self.write_config(tmp_path, [0.5]))
+        path = self.write_config(tmp_path, [0.5, 0.6], output="out.json")
+        with pytest.raises(SchemaError, match=r"run\.json: output: needs a single clustering\.tau$"):
+            run_sweep_from_config(path)
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestCombinedScoreArray:
     """The per-unit combined scores equal the per-pair formula bit for bit."""
 
@@ -698,10 +756,12 @@ def predicted_config(tau, unit_level, mention_type="event", prune_ratio=0.4, sig
 
 def outcome(corpus, config, *inputs):
     """What `run_pipeline` computes, with the selected mentions: the
-    response, the report as JSON text and the mentions."""
+    response, the report as JSON text, the mentions and the response file's
+    mention table as JSON text, which tells -0.0 from 0.0 and 1 from 1.0."""
     response, mentions = build_response(corpus, config, *inputs)
     report = harness._score_response(corpus, config, response, mentions)
-    return response, report.to_json(), mentions
+    table = json.dumps([mention_to_json(m) for m in response_members(response, mentions)])
+    return response, report.to_json(), mentions, table
 
 
 def run_bytes(corpus, config, scores):
@@ -829,6 +889,33 @@ class TestRunInvariantMemo:
         averages = [score for _, log in shared._memo["response"].blocks for _, _, score in log]
         assert averages[0] == 0.1 and max(averages) > above
 
+    def test_equal_scores_of_another_sign_or_type_rebuild(self, tmp_path):
+        data, _ = sweep_corpus_data(seed=8)
+        path = write_json(tmp_path / "sweep.json", data)
+        shared = load_corpus(path)
+        candidates, overrides, scores = predicted_inputs(data, seed=8)
+        config = predicted_config(0.3, "corpus")
+        _, _, kept, _ = outcome(shared, config, scores, overrides, candidates)
+        target = kept[0].mention_id
+        tables = set()
+        for value in (0.0, -0.0, 1, 1.0, True):
+            # an override: in place, then in an equal but distinct dict
+            overrides[target] = value
+            for inputs in ([scores, overrides, candidates],
+                           [scores, dict(overrides), list(candidates)]):
+                got = outcome(shared, config, *inputs)
+                assert got == outcome(load_corpus(path), config, *inputs)
+                tables.add(got[3])
+        assert len(tables) == 5  # each value is written differently
+        del overrides[target]
+        at = next(k for k, m in enumerate(candidates) if m.mention_id == target)
+        for value in (0.0, -0.0, 0.0):
+            # a candidate's own score, on an equal but distinct mention
+            candidates[at] = replace(candidates[at], mention_score=value)
+            got = outcome(shared, config, scores, overrides, candidates)
+            assert got == outcome(load_corpus(path), config, scores, overrides, candidates)
+            assert ('"score": -0.0' in got[3]) == (math.copysign(1.0, value) < 0)
+
     def test_an_ascending_sweep_links_once(self, tmp_path, monkeypatch):
         data, _ = sweep_corpus_data(seed=6)
         path = write_json(tmp_path / "sweep.json", data)
@@ -847,6 +934,11 @@ class TestRunInvariantMemo:
             for tau in order:
                 run_pipeline(corpus, predicted_config(tau, "gold_topic"), *inputs)
             assert calls == (taus[:1] if order == taus else order)
+        # the singleton policy is read by scoring alone
+        for policy in ("omitted", "included"):
+            config = replace(predicted_config(taus[0], "gold_topic"), singleton_policy=policy)
+            run_pipeline(corpus, config, *inputs)
+        assert calls == taus[::-1]
 
     def test_grouping_runs_once_per_setting(self, tmp_path, monkeypatch):
         data, scores = sweep_corpus_data(seed=4)
