@@ -12,22 +12,30 @@ end_token), so predicted spans line up with gold spans regardless of ids.
 A `Corpus` is never mutated after construction, so what depends only on
 the corpus and the unit settings, never on tau, is computed once per
 `Corpus` instance and kept on it: the evaluation units per (unit_level,
-doc_threshold), predicted topics included, and the span-keyed gold key per
-mention_type. The corpus also keeps one response slot (`_Build`): the
-tau-free part of the last `build_response` call, that is its selected
-mentions, its singletons and each block's ids and slot log, with the
-inputs it was built from and the tau its logs were made at. The inputs are
-the config but for merge_threshold and singleton_policy (compared by
-`==`), the score table itself, and copies of the mention scores and the
-candidates, whose values are compared by identity. A later call with the
-same inputs and a tau at or above the slot's cuts each log where its
-averages first fall below the new tau, as a merge sequence does not depend
-on tau; other inputs, or a lower tau, rebuild and replace the slot. The
-slot keeps the last score table alive. Repeated runs on one loaded corpus
-gain: a pipeline config whose `clustering.tau` is a list (`cdcoref
-pipeline`, `run_sweep_from_config`) runs its taus in ascending order, so
-it loads, builds and links once. A one-shot run at one tau does the same
-work as before.
+doc_threshold), predicted topics included, the rank of each doc id, and
+per mention_type the gold key as span columns (and span-keyed, once the
+object path below needs it). The corpus also keeps one response slot
+(`_Build`): the tau-free part of the last `build_response` call, that is
+its selected mentions, its singletons, each block's ids and slot log and
+its span codes, with the inputs it was built from and the tau its logs
+were made at. The inputs are the config but for merge_threshold and
+singleton_policy (compared by `==`), the score table itself, and copies
+of the mention scores and the candidates, whose values are compared by
+identity. A later call with the same inputs and a tau at or above the
+slot's cuts each log where its averages first fall below the new tau, as
+a merge sequence does not depend on tau; other inputs, or a lower tau,
+rebuild and replace the slot. The slot keeps the last score table alive.
+Repeated runs on one loaded corpus gain: a pipeline config whose
+`clustering.tau` is a list (`cdcoref pipeline`, `run_sweep_from_config`)
+runs its taus in ascending order, so it loads, builds and links once.
+
+Scoring takes integer span codes, as `cdcoref evaluate` does: a build
+ranks the key's spans and its selected mentions' spans together with one
+lexsort (`_span_codes`), and each tau codes only its response side
+(`_side`) from its members' codes before the one overlap table
+(`_overlap`), with no span-keyed `Partition`. A span in two clusters of
+either side falls back to `evaluate` on `partition_on_spans`, which words
+the error.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import is_
 from typing import Mapping, NamedTuple, Sequence
 
@@ -273,6 +282,7 @@ class _Build(NamedTuple):
     singletons: list[frozenset]
     blocks: list[tuple[list, list]]  # each block's ids and slot log
     mentions: list[Mention]
+    codes: _Codes | None  # `_response_codes` of the mentions
 
 
 def _same_objects(kept, now) -> bool:
@@ -323,7 +333,8 @@ def build_response(
         or not _same_objects(kept.candidates, candidates)
     ):
         built = _build_response(corpus, config, pair_scores, mention_scores, candidates)
-        kept = _Build(fields, pair_scores, mention_scores, candidates, tau, *built)
+        codes = _response_codes(corpus, config.mention_type, built[-1])
+        kept = _Build(fields, pair_scores, mention_scores, candidates, tau, *built, codes)
         corpus._memo["response"] = kept
     clusters = list(kept.singletons)
     for ids, log in kept.blocks:
@@ -413,20 +424,38 @@ def run_pipeline(
 
     Returns the pooled response partition (over mention ids) and the metric
     report computed on span identity under the configured singleton policy.
+    The report and any error are those of `evaluate` on `_span_key` and
+    `partition_on_spans` of the response, but the response is scored from
+    its slot's span codes; only a span in two clusters of either side, or
+    spans that cannot be coded, take that object path, which words the
+    error.
     """
-    response, response_mentions = build_response(
-        corpus, config, pair_scores, mention_scores, candidates
-    )
-    return response, _score_response(corpus, config, response, response_mentions)
+    response, _ = build_response(corpus, config, pair_scores, mention_scores, candidates)
+    # build_response leaves the slot it cut this response from on the corpus
+    return response, _score_response(corpus, config, response, corpus._memo["response"])
 
 
 def _score_response(
-    corpus: Corpus, config: EvalConfig, response: Partition, mentions: Sequence[Mention]
+    corpus: Corpus, config: EvalConfig, response: Partition, kept: _Build
 ) -> MetricReport:
+    """The report of a response cut from the slot `kept`: the codes of its
+    members give the response side of the overlap table, and the slot holds
+    the key side. Else the object path scores it and words the error."""
+    policy, codes = config.singleton_policy, kept.codes
+    if codes is not None:
+        omitted = policy == "omitted"
+        if policy not in codes.key_sides:
+            codes.key_sides[policy] = _side(codes.key, codes.key_lengths, codes.n, omitted)
+        clusters = response.clusters
+        members = map(codes.of_mention.__getitem__, chain.from_iterable(clusters))
+        sides = [codes.key_sides[policy],
+                 _side(np.fromiter(members, np.int64), list(map(len, clusters)), codes.n, omitted)]
+        if None not in sides:
+            return _report(_overlap(*sides), policy)
     return evaluate(
         _memoized(corpus, ("key", config.mention_type), lambda: _span_key(corpus, config)),
-        partition_on_spans(response, mentions),
-        config.singleton_policy,
+        partition_on_spans(response, kept.mentions),
+        policy,
     )
 
 
@@ -435,6 +464,68 @@ def _span_key(corpus: Corpus, config: EvalConfig) -> Partition:
     gold = corpus.mentions_of_type(config.mention_type)
     key = corpus.gold_partition.restricted_to(m.mention_id for m in gold)
     return partition_on_spans(key, gold)
+
+
+class _Codes(NamedTuple):
+    """One build's spans, coded once: the key's and the selected mentions'
+    spans ranked together by `_span_codes`."""
+
+    key: np.ndarray  # the key's member codes, cluster by cluster
+    key_lengths: list
+    of_mention: dict  # each selected mention's code, by id
+    n: int  # the size of the code space
+    key_sides: dict  # the key's `_side` per singleton policy, made on first use
+
+
+def _response_codes(corpus: Corpus, mention_type: str, mentions: list[Mention]) -> _Codes | None:
+    """The `_Codes` of a build's selected mentions; None where `_span_arrays`
+    cannot code the spans, and scoring takes the object path."""
+    key = _memoized(corpus, ("key columns", mention_type),
+                    lambda: _key_columns(corpus, mention_type))
+    columns = _span_arrays(corpus, mentions)
+    if key is None or columns is None:
+        return None
+    rows, lengths, key_columns = key
+    code = _span_codes(*map(np.concatenate, zip(key_columns, columns)))
+    of_mention = dict(zip([m.mention_id for m in mentions], code[len(key_columns[0]):].tolist()))
+    return _Codes(code[rows], lengths, of_mention, len(code), {})
+
+
+def _key_columns(corpus: Corpus, mention_type: str) -> tuple | None:
+    """The gold key of one mention type as columns: its members' rows,
+    cluster by cluster, the clusters' lengths, and `_span_arrays` of the
+    rows, the type's gold mentions."""
+    gold = corpus.mentions_of_type(mention_type)
+    columns = _span_arrays(corpus, gold)
+    if columns is None:
+        return None
+    row = {m.mention_id: r for r, m in enumerate(gold)}
+    key = corpus.gold_partition.restricted_to(row).clusters
+    rows = np.fromiter(map(row.__getitem__, chain.from_iterable(key)), np.int64)
+    return rows, list(map(len, key)), columns
+
+
+def _span_arrays(corpus: Corpus, mentions: Sequence[Mention]) -> tuple | None:
+    """The spans of mentions in the corpus's documents as int64 columns:
+    the rank of the doc id among the corpus's, the start and the end. None
+    unless the doc ids are strings and the offsets ints inside int64, which
+    alone order there as they do in a span tuple."""
+    rank = _memoized(corpus, ("doc ranks",), lambda: _doc_ranks(corpus))
+    starts, ends = [m.start_token for m in mentions], [m.end_token for m in mentions]
+    if rank is None or not {*map(type, chain(starts, ends))} <= {int}:
+        return None
+    try:
+        return (np.fromiter((rank[m.doc_id] for m in mentions), np.int64, len(mentions)),
+                np.array(starts, np.int64), np.array(ends, np.int64))
+    except OverflowError:
+        return None
+
+
+def _doc_ranks(corpus: Corpus) -> dict | None:
+    """Each doc id's rank among the corpus's, or None unless all are strings."""
+    if not {*map(type, corpus.documents)} <= {str}:
+        return None
+    return {d: r for r, d in enumerate(sorted(corpus.documents))}
 
 
 def response_members(response: Partition, mentions: Sequence[Mention]) -> list[Mention]:
@@ -456,7 +547,8 @@ def run_evaluation(key_path, response_path, singleton_policy: str) -> MetricRepo
     those of `evaluate` on what `load_partition_file` and `partition_on_spans`
     return. When every check passes, no `Mention`, `Partition` or set is
     built, and the overlap table comes from joint integer codes of the two
-    files' members; else that object path runs, and alone words the errors.
+    files' members, through the steps that score `run_pipeline` too; else
+    that object path runs, and alone words the errors.
     """
     key = read_json(key_path, _partition_columns)
     # a bad key is reported before the response file is read
@@ -486,34 +578,53 @@ def _coded_table(key: tuple, response: tuple, omitted: bool) -> _Overlap | None:
     docs, n = key_table[1] + table[1], len(key_table[1]) + len(table[1])
     doc_rank = {d: r for r, d in enumerate(sorted(set(docs)))}
     try:
-        spans = [np.fromiter(map(doc_rank.__getitem__, docs), np.int64, n),
-                 *(np.array(key_table[k] + table[k], np.int64) for k in (2, 3))]
+        code = _span_codes(np.fromiter(map(doc_rank.__getitem__, docs), np.int64, n),
+                           *(np.array(key_table[k] + table[k], np.int64) for k in (2, 3)))
     except OverflowError:
         return None
+    sides = [_side(code[np.array(rows, np.int64) + offset], cluster_lengths, n, omitted)
+             for rows, cluster_lengths, offset in ((key_table[0], key_lengths, 0),
+                                                   (table[0], lengths, len(key_table[1])))]
+    return None if None in sides else _overlap(*sides)
+
+
+def _span_codes(*spans: np.ndarray) -> np.ndarray:
+    """Per row of the int64 columns (document rank, start, end), its span's
+    rank among their distinct spans, so codes order as `Partition` orders
+    spans. One lexsort over all rows."""
     by_span = np.lexsort(spans[::-1])  # by document, then start, then end
     new = np.any([c[by_span[1:]] != c[by_span[:-1]] for c in spans], axis=0)
-    span_code = np.empty(n, np.int64)
-    span_code[by_span] = np.cumsum(np.r_[0, new])  # distinct spans before, in order
-    codes = [span_code[np.array(key_table[0], np.int64)],
-             span_code[np.array(table[0], np.int64) + len(key_table[1])]]
-    sides = []
-    for code, cluster_lengths in zip(codes, (key_lengths, lengths)):
-        k = len(cluster_lengths)
-        cluster = np.repeat(np.arange(k), cluster_lengths)
-        of_code = np.full(n, k)  # k: in no cluster
-        of_code[code] = cluster
-        if (of_code[code] != cluster).any():  # a code in two clusters
-            return None
-        present = np.flatnonzero(of_code < k)
-        sizes = np.bincount(of_code[present], minlength=k)  # each code once
-        smallest = np.full(k, n)
-        np.minimum.at(smallest, of_code[present], present)
-        order = np.argsort(smallest)
-        order = order[sizes[order] > 1] if omitted else order
-        row = np.full(k + 1, -1)  # -1 for no cluster, or a dropped one
-        row[order] = np.arange(len(order))
-        sides.append((row[of_code], sizes[order]))
-    (key_of, key_sizes), (response_of, response_sizes) = sides
+    code = np.empty(len(by_span), np.int64)
+    code[by_span] = np.cumsum(np.r_[0, new])  # distinct spans before, in order
+    return code
+
+
+def _side(code: np.ndarray, cluster_lengths, n: int, omitted: bool) -> tuple | None:
+    """One side of an overlap table from its members' codes, cluster by
+    cluster, in a code space of n: each code's row (-1 for none, or for a
+    cluster that `omitted` drops) and the rows' sizes, rows ordered by
+    smallest code. A code repeated in one cluster counts once; None where
+    a code is in two clusters."""
+    k = len(cluster_lengths)
+    cluster = np.repeat(np.arange(k), cluster_lengths)
+    of_code = np.full(n, k)  # k: in no cluster
+    of_code[code] = cluster
+    if (of_code[code] != cluster).any():  # a code in two clusters
+        return None
+    present = np.flatnonzero(of_code < k)
+    sizes = np.bincount(of_code[present], minlength=k)  # each code once
+    smallest = np.full(k, n)
+    np.minimum.at(smallest, of_code[present], present)
+    order = np.argsort(smallest)
+    order = order[sizes[order] > 1] if omitted else order
+    row = np.full(k + 1, -1)  # -1 for no cluster, or a dropped one
+    row[order] = np.arange(len(order))
+    return row[of_code], sizes[order]
+
+
+def _overlap(key_side: tuple, response_side: tuple) -> _Overlap:
+    """The overlap table of two `_side`s in one code space."""
+    (key_of, key_sizes), (response_of, response_sizes) = key_side, response_side
     width = max(len(response_sizes), 1)
     shared = (key_of >= 0) & (response_of >= 0)
     return _Overlap(key_of[shared] * width + response_of[shared], width, key_sizes, response_sizes)
@@ -604,7 +715,8 @@ def _run_sweep(configs: list[EvalConfig], paths: Mapping) -> list[tuple]:
         tau = config.clustering.merge_threshold
         if tau not in runs:
             response, mentions = build_response(corpus, config, *inputs)
-            runs[tau] = response, _score_response(corpus, config, response, mentions)
+            runs[tau] = response, _score_response(corpus, config, response,
+                                                  corpus._memo["response"])
     if paths["output"]:  # with a single tau, as the config was checked
         save_partition_file(paths["output"], response, response_members(response, mentions))
     return [(c.clustering.merge_threshold, *runs[c.clustering.merge_threshold]) for c in configs]

@@ -10,18 +10,26 @@ import json
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcoref import (
     ClusteringConfig,
+    Corpus,
+    Document,
     EvalConfig,
     InvariantError,
     Mention,
     Partition,
     SchemaError,
     ScoreTable,
+    Token,
     build_response,
+    evaluate,
     evaluation_units,
     group_documents,
     harness,
@@ -35,8 +43,9 @@ from cdcoref import (
     save_partition_file,
     write_score_file,
 )
-from cdcoref.corpus import mention_to_json
-from cdcoref.harness import response_members
+from cdcoref.corpus import MENTION_TYPES, mention_to_json
+from cdcoref.harness import MENTION_SOURCES, UNIT_LEVELS, response_members
+from cdcoref.metrics import _Overlap
 from conftest import write_json
 from helpers import lemma_score_table, score_lookup
 
@@ -759,7 +768,7 @@ def outcome(corpus, config, *inputs):
     response, the report as JSON text, the mentions and the response file's
     mention table as JSON text, which tells -0.0 from 0.0 and 1 from 1.0."""
     response, mentions = build_response(corpus, config, *inputs)
-    report = harness._score_response(corpus, config, response, mentions)
+    report = harness._score_response(corpus, config, response, corpus._memo["response"])
     table = json.dumps([mention_to_json(m) for m in response_members(response, mentions)])
     return response, report.to_json(), mentions, table
 
@@ -940,6 +949,58 @@ class TestRunInvariantMemo:
             run_pipeline(corpus, config, *inputs)
         assert calls == taus[::-1]
 
+    def test_interleaved_policies_and_types_match_fresh_corpus(self, tmp_path):
+        data, _ = sweep_corpus_data(seed=10)
+        path = write_json(tmp_path / "sweep.json", data)
+        shared = load_corpus(path)
+        candidates, overrides, scores = predicted_inputs(data, seed=10)
+        configs = [
+            replace(make(tau, level, mention_type=mtype), singleton_policy=policy)
+            for make in (predicted_config, sweep_config)
+            for level in ("gold_topic", "corpus")
+            for tau in (0.2, 0.6)
+            for mtype in ("event", "all", "entity")
+            for policy in ("omitted", "included")
+        ]
+        random.Random(10).shuffle(configs)
+        reports = set()
+        for config in configs:
+            got = outcome(shared, config, scores, overrides, candidates)
+            assert got == outcome(load_corpus(path), config, scores, overrides, candidates)
+            reports.add(got[1])
+        assert len(reports) >= len(configs) // 2
+
+    def test_an_ascending_sweep_scores_on_codes(self, tmp_path, monkeypatch):
+        data, _ = sweep_corpus_data(seed=11)
+        path = write_json(tmp_path / "sweep.json", data)
+        inputs = predicted_inputs(data, seed=11)[::-1]
+        expected = {}
+        for config in [predicted_config(tau, "gold_topic") for tau in (0.2, 0.4, 0.6, 0.8)]:
+            response, mentions = build_response(load_corpus(path), config, *inputs)
+            key = harness._span_key(load_corpus(path), config)
+            expected[config] = evaluate(key, partition_on_spans(response, mentions)).to_json()
+        calls = []
+
+        def counted(name):
+            function = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name in ("partition_on_spans", "evaluate", "_span_codes"):
+            monkeypatch.setattr(harness, name, counted(name))
+        corpus = load_corpus(path)
+        for config in expected:
+            assert run_pipeline(corpus, config, *inputs)[1].to_json() == expected[config]
+        assert calls == ["_span_codes"]
+        # the sweep config takes the same route
+        calls.clear()
+        sweep = TestSweepConfigFile().write_config(tmp_path, [0.8, 0.2, 0.6, 0.4])
+        assert len(run_sweep_from_config(sweep)) == 4
+        assert calls == ["_span_codes"]
+
     def test_grouping_runs_once_per_setting(self, tmp_path, monkeypatch):
         data, scores = sweep_corpus_data(seed=4)
         corpus = load_corpus(write_json(tmp_path / "sweep.json", data))
@@ -999,3 +1060,112 @@ class TestRunInvariantMemo:
         assert used == fresh
         assert repr(used) == repr(fresh)
         assert "_memo" not in repr(used)
+
+
+# --- scoring through span codes, against the object route ---------------------
+
+
+@st.composite
+def scoring_case(draw):
+    """A corpus of 1-4 documents with doc ids that sort apart from their
+    order, some with no mentions; gold mentions of both types on a few
+    spans, so spans are shared inside a cluster and across clusters;
+    candidates on the same spans, some absent from the key, or none; pair
+    scores on a tie-heavy grid, with a finite default or none, so that
+    mentions on one span merge; and configs run in turn on the corpus."""
+    names = draw(st.lists(st.sampled_from(["b", "a", "a0", "B", "\xe9"]),
+                          min_size=1, max_size=4, unique=True))
+    documents = {}
+    for k, d in enumerate(names):
+        words = draw(st.lists(st.sampled_from(["strike", "union", "vote"]), min_size=1, max_size=4))
+        documents[d] = Document(d, f"T{k % 2}", f"s{draw(st.integers(0, 1))}",
+                                tuple(Token(d, 0, i, w) for i, w in enumerate(words)))
+    spans = [(d, start, end) for d, doc in documents.items()
+             for start in range(len(doc)) for end in range(start, min(start + 2, len(doc)))]
+    kinds = st.sampled_from(MENTION_TYPES)
+    gold = draw(st.lists(st.tuples(st.sampled_from(spans), kinds, st.integers(-1, 2)), max_size=8))
+    mentions = [Mention(f"g{i}", *span, kind) for i, (span, kind, _) in enumerate(gold)]
+    clusters = {}
+    for i, (_, _, c) in enumerate(gold):
+        clusters.setdefault(c if c >= 0 else f"alone{i}", []).append(f"g{i}")
+    corpus = Corpus(documents, tuple(mentions), Partition(clusters.values()))
+    grid = st.sampled_from((-0.5, 0.0, 0.25, 0.5, 1.0))
+    candidates = [Mention(f"c{i}", *span, kind, mention_score=score) for i, (span, kind, score)
+                  in enumerate(draw(st.lists(st.tuples(st.sampled_from(spans), kinds, grid),
+                                             max_size=8)))]
+    ids = [m.mention_id for m in mentions + candidates]
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    scores = ScoreTable(draw(st.dictionaries(pairs, grid, max_size=30)) if len(ids) > 1 else {},
+                        draw(st.sampled_from((-math.inf, 0.25, 1.0))))
+    config = st.builds(
+        lambda level, source, kind, policy, tau, ratio: EvalConfig(
+            unit_level=level, mention_source=source, mention_type=kind, singleton_policy=policy,
+            clustering=ClusteringConfig(tau, ratio, gold_mention_mode=source == "gold"),
+            doc_threshold=0.3 if level == "predicted_topic" else None),
+        st.sampled_from(UNIT_LEVELS), st.sampled_from(MENTION_SOURCES),
+        st.sampled_from(("event", "entity", "all")), st.sampled_from(("included", "omitted")),
+        grid, st.sampled_from((0.5, 1.0)))
+    return corpus, (scores, None, candidates), draw(st.lists(config, min_size=1, max_size=4))
+
+
+def result(run):
+    """A report's JSON text, or the type and message of what `run` raised."""
+    try:
+        return "report", run().to_json()
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scoring_case())
+def test_coded_scoring_matches_the_object_route(case):
+    corpus, inputs, configs = case
+    for config in configs:
+        with mock.patch.object(harness, "partition_on_spans", wraps=partition_on_spans) as rekey, \
+                mock.patch.object(harness, "_report", wraps=harness._report) as report:
+            got = result(lambda: run_pipeline(corpus, config, *inputs)[1])
+        response, mentions = build_response(corpus, config, *inputs)
+        expected = result(lambda: evaluate(harness._span_key(corpus, config),
+                                           partition_on_spans(response, mentions),
+                                           config.singleton_policy))
+        assert got == expected
+        # only a span in two clusters takes the object route
+        assert (rekey.call_count == 0) == (expected[0] == "report")
+        if expected[0] == "report":
+            # the very table the object route builds, rows in its order
+            least = 2 if config.singleton_policy == "omitted" else 1
+            want = _Overlap.of_clusters(*(
+                [c for c in side if len(c) >= least] for side in
+                (harness._span_key(corpus, config), partition_on_spans(response, mentions))))
+            table = report.call_args.args[0]
+            for name in _Overlap.__slots__:
+                have, wanted = getattr(table, name), getattr(want, name)
+                assert have.dtype == wanted.dtype and np.array_equal(have, wanted), name
+
+
+@pytest.mark.parametrize("offset, extra_doc", [
+    (2.5, None),  # int64 would truncate it onto the gold span at 2
+    (2**64 + 2, None),  # outside int64
+    (2, 7),  # a doc id that does not sort with the strings
+])
+@pytest.mark.parametrize("policy", ["included", "omitted"])
+def test_spans_the_codes_cannot_order_take_the_object_route(offset, extra_doc, policy):
+    documents = {"d": Document("d", "T", "s", tuple(Token("d", 0, i, "w") for i in range(4)))}
+    if extra_doc is not None:
+        documents[extra_doc] = Document(extra_doc, "T", "s", (Token(extra_doc, 0, 0, "w"),))
+    gold = (Mention("g0", "d", 1, 1, "event"), Mention("g1", "d", 2, 2, "event"),
+            Mention("g2", "d", 3, 3, "event"))
+    corpus = Corpus(documents, gold, Partition([["g0", "g2"], ["g1"]]))
+    candidates = [Mention("c0", "d", 1, 1, "event", mention_score=1.0),
+                  Mention("c1", "d", offset, offset, "event", mention_score=1.0),
+                  Mention("c2", "d", 3, 3, "event", mention_score=1.0)]
+    config = EvalConfig(mention_source="predicted", mention_type="event", singleton_policy=policy,
+                        clustering=ClusteringConfig(0.5, 1.0, gold_mention_mode=False))
+    scores = ScoreTable({("c0", "c2"): 1.0})
+    with mock.patch.object(harness, "partition_on_spans", wraps=partition_on_spans) as rekey:
+        report = run_pipeline(corpus, config, scores, None, candidates)[1]
+    assert rekey.call_count == 2  # the key and the response
+    response, mentions = build_response(corpus, config, scores, None, candidates)
+    expected = evaluate(harness._span_key(corpus, config), partition_on_spans(response, mentions),
+                        policy)
+    assert report.to_json() == expected.to_json()
